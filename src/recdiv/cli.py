@@ -1,7 +1,8 @@
 """Command-line interface: eval, table, records, tree, verify.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage, 3 overflow guard,
-4 memory guard, 5 verification failure, 6 work budget exceeded.
+4 memory guard, 5 verification failure, 6 work budget exceeded,
+7 internal check failed (two routes to the same value disagreed).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ EXIT_OVERFLOW = 3
 EXIT_MEMORY = 4
 EXIT_VERIFY = 5
 EXIT_BUDGET = 6
+EXIT_INTERNAL = 7
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -159,6 +161,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

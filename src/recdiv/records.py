@@ -10,7 +10,7 @@ float prescan only narrows the candidate set, never the decision.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Flag, auto
 from fractions import Fraction
 
@@ -96,12 +96,16 @@ class RecordTable:
     bound: int
     kinds: RecordKind
     entries: tuple[RecordEntry, ...]
+    _ns: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_ns", tuple(e.n for e in self.entries))
 
     def numbers(self, kind: RecordKind) -> list[int]:
         return [e.n for e in self.entries if kind in e.kinds]
 
     def entry(self, n: int) -> RecordEntry | None:
-        ns = [e.n for e in self.entries]
+        ns = self._ns
         i = bisect_left(ns, n)
         if i < len(ns) and ns[i] == n:
             return self.entries[i]
@@ -194,12 +198,19 @@ def sieve_records(
     entries = []
     for n in sorted(flags):
         fac = factorize(n)
-        av, bv = a(n), b(n)
-        # The per-n recursion and the batch sieve are required to agree.
-        if RecordKind.RHC in arrays and av != int(arrays[RecordKind.RHC][n]):
-            raise AssertionError(f"a({n}): sieve and recursion disagree")
-        if RecordKind.RSA in arrays and bv != int(arrays[RecordKind.RSA][n]):
-            raise AssertionError(f"b({n}): sieve and recursion disagree")
+        av, bv, dv, sv = a(n), b(n), d_of(fac), sigma_of(fac)
+        # Each batch sieve is required to agree with its per-n route: the
+        # recursion for a and b, the factorization formulas for d and sigma.
+        per_n = {
+            RecordKind.RHC: (av, "recursion"),
+            RecordKind.RSA: (bv, "recursion"),
+            RecordKind.HC: (dv, "factorization"),
+            RecordKind.SA: (sv, "factorization"),
+        }
+        for kind, arr in arrays.items():
+            value, route = per_n[kind]
+            if value != int(arr[n]):
+                raise AssertionError(f"{needed[kind]}({n}): sieve and {route} disagree")
         tau = fac.max_exponent
         entries.append(
             RecordEntry(
@@ -208,8 +219,8 @@ def sieve_records(
                 kinds=flags[n],
                 a=av,
                 b=bv,
-                d=d_of(fac),
-                sigma=sigma_of(fac),
+                d=dv,
+                sigma=sv,
                 tau=tau,
                 tau_cofactor=av >> tau,
             )

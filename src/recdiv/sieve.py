@@ -1,13 +1,27 @@
-"""Batch divisor-sum sieves: whole-range arrays in O(N log N).
+"""Batch divisor-sum sieves: whole-range arrays, O(N log N) work, O(sqrt N) numpy calls.
 
-Each array is filled by one pass that adds the finished value at n to all
-multiples of n, so position n already holds its proper-divisor contributions
-when the loop reaches it.  Arrays are int64; the bound guard below makes
-wraparound impossible, and results are immutable once returned.
+One kernel, `_sieve`, fills every table.  It adds a term for each n to all
+multiples k*n (k >= 2); the n | n term is already in the initial array.  It
+has two modes:
 
-Overflow guard: a(n) and b(n) are both <= n^2 (induction: proper divisors of
-n are n/k for k >= 2, so their squares sum to < 0.645 n^2), and d, sigma, g
-are smaller still.  Hence int64 cannot wrap for any bound <= isqrt(2^63 - 1);
+- recursive (a, b, g): the term is arr[n], the finished value at n;
+- plain divisor sum (d, sigma): the term is the fixed n**x, x = 0 or 1.
+
+Schedule: for n <= isqrt(N) one strided slice add per n, in increasing n.
+Above that, n runs in doubling blocks [L, 2L) starting at L = isqrt(N) + 1,
+with one add per multiplier k covering the whole block at once:
+arr[k*L : k*top : k] += src[L:top].  Doubling blocks are safe in recursive
+mode: every proper divisor of n in [L, 2L) is at most n/2 < L, so each source
+in the block is final before the block starts, and every target k*n >= 2L
+lies past the block, so no add in the block changes one of its sources.
+That is about isqrt(N) + 2*sqrt(N) numpy calls in all, where one call per n
+would be N/2.
+
+Arrays are int64 and results are immutable once returned.  Overflow guard:
+a(n) and b(n) are both <= n^2 (induction: proper divisors of n are n/k for
+k >= 2, so their squares sum to < 0.645 n^2), and d, sigma, g are smaller
+still.  Every add is non-negative, so each partial value is at most its
+final value.  Hence int64 cannot wrap for any bound <= isqrt(2^63 - 1);
 larger bounds are refused loudly rather than sieved.
 """
 
@@ -43,41 +57,52 @@ def check_budget(limit: int, arrays: int, max_memory: int | None = None) -> None
         )
 
 
+def _sieve(arr: np.ndarray, power: int | None = None) -> np.ndarray:
+    """Add one term per n >= 1 to every multiple k*n (k >= 2) in arr, in place.
+
+    Recursive mode (power None): the term is arr[n] itself, final by the time
+    it is read.  Plain mode: the term is n**power, built on the fly so no
+    second full-length array exists.
+    """
+    limit = len(arr) - 1
+    root = isqrt(limit)
+    for n in range(1, root + 1):
+        arr[2 * n :: n] += arr[n] if power is None else n**power
+    low = root + 1
+    while low <= limit // 2:
+        top = min(2 * low, limit // 2 + 1)
+        src = arr[low:top] if power is None else np.arange(low, top, dtype=np.int64) ** power
+        for k in range(2, limit // low + 1):
+            stop = min(top, limit // k + 1)
+            arr[k * low : k * stop : k] += src[: stop - low]
+        low = top
+    return arr
+
+
 def _a_array(limit: int) -> np.ndarray:
     arr = np.ones(limit + 1, dtype=np.int64)
     arr[0] = 0
-    for n in range(1, limit // 2 + 1):
-        arr[2 * n :: n] += arr[n]
-    return arr
+    return _sieve(arr)
 
 
 def _b_array(limit: int) -> np.ndarray:
-    arr = np.arange(limit + 1, dtype=np.int64)
-    for n in range(1, limit // 2 + 1):
-        arr[2 * n :: n] += arr[n]
-    return arr
+    return _sieve(np.arange(limit + 1, dtype=np.int64))
 
 
 def _g_array(limit: int) -> np.ndarray:
     arr = np.zeros(limit + 1, dtype=np.int64)
     arr[1] = 1
-    for n in range(1, limit // 2 + 1):
-        arr[2 * n :: n] += arr[n]
-    return arr
+    return _sieve(arr)
 
 
 def _d_array(limit: int) -> np.ndarray:
-    arr = np.zeros(limit + 1, dtype=np.int64)
-    for n in range(1, limit + 1):
-        arr[n::n] += 1
-    return arr
+    arr = np.ones(limit + 1, dtype=np.int64)
+    arr[0] = 0
+    return _sieve(arr, 0)
 
 
 def _sigma_array(limit: int) -> np.ndarray:
-    arr = np.zeros(limit + 1, dtype=np.int64)
-    for n in range(1, limit + 1):
-        arr[n::n] += n
-    return arr
+    return _sieve(np.arange(limit + 1, dtype=np.int64), 1)
 
 
 def a_array(limit: int, *, max_memory: int | None = None) -> np.ndarray:

@@ -1,7 +1,10 @@
 import pytest
 
+from recdiv import records
+
 from recdiv.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_MEMORY,
     EXIT_OVERFLOW,
@@ -136,3 +139,15 @@ def test_overflow_guard_exit_code(capsys):
 
 def test_verify_failure_exit_code_is_distinct():
     assert len({2, EXIT_IO, EXIT_OVERFLOW, EXIT_MEMORY, EXIT_VERIFY, EXIT_BUDGET}) == 6
+
+
+def test_internal_check_failure_exit_code(monkeypatch, capsys):
+    def disagree(*args, **kwargs):
+        raise AssertionError("a(12): sieve and recursion disagree")
+
+    monkeypatch.setattr(records, "sieve_records", disagree)
+    code, _, err = run(capsys, "records", "all", "100")
+    assert code == EXIT_INTERNAL
+    others = {0, EXIT_IO, 2, EXIT_OVERFLOW, EXIT_MEMORY, EXIT_VERIFY, EXIT_BUDGET}
+    assert EXIT_INTERNAL not in others
+    assert err == "error: internal check failed: a(12): sieve and recursion disagree\n"

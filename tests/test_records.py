@@ -10,6 +10,7 @@ from recdiv import (
     sieve_records,
     tau_decompose,
 )
+from recdiv import sieve
 from recdiv.records import parse_kinds
 
 
@@ -110,3 +111,22 @@ def test_parse_kinds():
         parse_kinds("XYZ")
     with pytest.raises(ValueError):
         parse_kinds(",")
+
+
+@pytest.mark.parametrize(
+    "fn, kind",
+    [("a", RecordKind.RHC), ("b", RecordKind.RSA), ("d", RecordKind.HC), ("sigma", RecordKind.SA)],
+)
+def test_sieve_disagreement_is_caught(monkeypatch, fn, kind):
+    # 12 is a record of every kind to 50, and raising its value keeps it one,
+    # so the per-n cross-check must reach it and refuse the table.
+    build = sieve.TABLE_BUILDERS[fn]
+
+    def off_by_one_at_twelve(limit):
+        arr = build(limit)
+        arr[12] += 1
+        return arr
+
+    monkeypatch.setitem(sieve.TABLE_BUILDERS, fn, off_by_one_at_twelve)
+    with pytest.raises(AssertionError, match=rf"^{fn}\(12\): sieve and \w+ disagree$"):
+        sieve_records(50, kind)

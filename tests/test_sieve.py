@@ -1,8 +1,12 @@
+from math import isqrt
+
+import numpy as np
 import pytest
 
 from recdiv import MemoryGuardError, a, b, d, g, sigma
 from recdiv.sieve import (
     INT64_SAFE_LIMIT,
+    TABLE_BUILDERS,
     a_array,
     b_array,
     check_budget,
@@ -59,3 +63,47 @@ def test_bound_one():
     assert a_array(1).tolist() == [0, 1]
     assert b_array(1).tolist() == [0, 1]
     assert d_array(1).tolist() == [0, 1]
+
+
+ORACLE_LIMIT = 10**5
+
+
+@pytest.fixture(scope="module")
+def oracle_tables():
+    """Oracle: the per-n slice loops the sieve kernel replaced, one numpy add per n.
+
+    A value at n does not depend on the bound, so one run to ORACLE_LIMIT
+    serves every smaller bound as a prefix.
+    """
+    limit = ORACLE_LIMIT
+    a_arr = np.ones(limit + 1, dtype=np.int64)
+    a_arr[0] = 0
+    b_arr = np.arange(limit + 1, dtype=np.int64)
+    g_arr = np.zeros(limit + 1, dtype=np.int64)
+    g_arr[1] = 1
+    for arr in (a_arr, b_arr, g_arr):
+        for n in range(1, limit // 2 + 1):
+            arr[2 * n :: n] += arr[n]
+    d_arr = np.zeros(limit + 1, dtype=np.int64)
+    s_arr = np.zeros(limit + 1, dtype=np.int64)
+    for n in range(1, limit + 1):
+        d_arr[n::n] += 1
+        s_arr[n::n] += n
+    return {"a": a_arr, "b": b_arr, "g": g_arr, "d": d_arr, "sigma": s_arr}
+
+
+def _kernel_bounds():
+    # Every bound to 300, then both sides of each square (where isqrt(N), the
+    # switch from per-n adds to blocks, steps) and of each power of two.
+    edges = {k * k for k in range(2, isqrt(5000) + 2)} | {2**j for j in range(2, 14)}
+    near = {e + delta for e in edges for delta in (-1, 0, 1)}
+    return sorted(set(range(1, 301)) | near | {ORACLE_LIMIT})
+
+
+@pytest.mark.parametrize("fn", sorted(TABLE_BUILDERS))
+def test_kernel_matches_oracle(oracle_tables, fn):
+    want = oracle_tables[fn]
+    for limit in _kernel_bounds():
+        got = TABLE_BUILDERS[fn](limit)
+        assert got.dtype == np.int64 and len(got) == limit + 1
+        assert np.array_equal(got, want[: limit + 1]), f"{fn} differs at bound {limit}"

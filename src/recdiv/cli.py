@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from . import formats, records, sieve, verify
-from .arith import factorize
 from .core import profile
 from .errors import BudgetError, MemoryGuardError
 from .tree import SvgStyle, layout, self_overlap, to_svg
@@ -43,9 +42,8 @@ def _format_arg(text: str) -> formats.ExportFormat:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     p = profile(args.n)
-    fac = factorize(args.n)
     print(f"n={p.n}")
-    print(f"factorization={fac}")
+    print(f"factorization={p.factorization}")
     print(f"d={p.d} sigma={p.sigma}")
     print(f"a={p.a} b={p.b} g={p.g}")
     print(f"A={p.A} B={p.B}")

@@ -1,10 +1,11 @@
 """Recursions and explicit formulas over one- to three-prime shapes.
 
-Everything here is derived independently of the definitional evaluators in
-core.py, precisely so the two routes can be cross-checked against each other.
+Everything here except B_from_A is derived independently of the evaluators in
+core.py, precisely so the two routes can be cross-checked against each other;
+B_from_A sums counts over the same divisor-lattice walk that core.b uses.
 The recursion for the divisor sum over three primes is implemented with sum
 terms throughout its inclusion-exclusion body; its correctness gate is exact
-agreement with the definitional evaluator on the full verification grid.
+agreement with the per-n evaluator on the full verification grid.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .arith import divisors, is_prime
-from .core import a
+from .arith import factorize, is_prime
+from .core import divisor_lattice
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,13 @@ def B_closed(shape: PrimePowerShape) -> Fraction:
 
 
 def B_from_A(n: int) -> Fraction:
-    """b(n)/n computed from recursive-divisor counts over the divisors of n."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return Fraction(1, 2) + sum(Fraction(a(m), m) for m in divisors(n)) / 2
+    """b(n)/n computed from recursive-divisor counts over the divisors of n.
+
+    B(n) = 1/2 + Σ_{m|n} a(m)/(2m).  One walk over n's divisor lattice gives
+    each m = n/d with g(m); a(m) = 2 g(m), except a(1) = 1 at d = n.  Over the
+    common denominator n, the term of m is a(m)·d.
+    """
+    numerator = sum(
+        (2 * count if d < n else 1) * d for d, count in divisor_lattice(factorize(n))
+    )
+    return Fraction(1, 2) + Fraction(numerator, n) / 2

@@ -132,21 +132,36 @@ class RecordTable:
                         )
 
 
+# Record scans run over fixed blocks so their temporaries stay small beside
+# the int64 tables that check_budget charges for.
+_SCAN_BLOCK = 1 << 16
+
+
 def _int_record_indices(arr: np.ndarray) -> list[int]:
-    values = arr[1:]
-    running = np.maximum.accumulate(values)
-    prev_max = np.concatenate(([0], running[:-1]))
-    return (np.nonzero(values > prev_max)[0] + 1).tolist()
+    out: list[int] = []
+    best = 0
+    for start in range(1, len(arr), _SCAN_BLOCK):
+        values = arr[start : start + _SCAN_BLOCK]
+        running = np.maximum(np.maximum.accumulate(values), best)
+        prev_max = np.concatenate(([best], running[:-1]))
+        out.extend((np.nonzero(values > prev_max)[0] + start).tolist())
+        best = int(running[-1])
+    return out
 
 
 def _ratio_record_indices(arr: np.ndarray) -> list[int]:
-    n_values = np.arange(1, len(arr), dtype=np.float64)
-    ratios = arr[1:].astype(np.float64) / n_values
-    running = np.maximum.accumulate(ratios)
-    prev_max = np.concatenate(([0.0], running[:-1]))
     # Conservative prescan: float error is ~1e-15 relative, so no true record
-    # can fall below the shifted running max by a 1e-9 factor.
-    candidates = (np.nonzero(ratios >= prev_max * (1 - 1e-9))[0] + 1).tolist()
+    # can fall below the shifted running max by a 1e-9 factor.  The running
+    # max carries across blocks, so the candidates are those of one full scan.
+    candidates: list[int] = []
+    best_ratio = 0.0
+    for start in range(1, len(arr), _SCAN_BLOCK):
+        values = arr[start : start + _SCAN_BLOCK]
+        ratios = values / np.arange(start, start + len(values), dtype=np.float64)
+        running = np.maximum(np.maximum.accumulate(ratios), best_ratio)
+        prev_max = np.concatenate(([best_ratio], running[:-1]))
+        candidates.extend((np.nonzero(ratios >= prev_max * (1 - 1e-9))[0] + start).tolist())
+        best_ratio = float(running[-1])
     out: list[int] = []
     best_num, best_den = 0, 1
     for n in candidates:
@@ -200,10 +215,10 @@ def sieve_records(
         fac = factorize(n)
         av, bv, dv, sv = a(n), b(n), d_of(fac), sigma_of(fac)
         # Each batch sieve is required to agree with its per-n route: the
-        # recursion for a and b, the factorization formulas for d and sigma.
+        # core evaluators for a and b, the factorization formulas for d and sigma.
         per_n = {
-            RecordKind.RHC: (av, "recursion"),
-            RecordKind.RSA: (bv, "recursion"),
+            RecordKind.RHC: (av, "evaluator"),
+            RecordKind.RSA: (bv, "evaluator"),
             RecordKind.HC: (dv, "factorization"),
             RecordKind.SA: (sv, "factorization"),
         }

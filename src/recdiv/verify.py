@@ -1,7 +1,7 @@
 """Machine verification suites behind the `verify` CLI command.
 
 Each suite cross-checks independent computation routes (batch sieve versus
-per-n recursion, recursions versus closed forms, layouts versus counting
+per-n evaluators, recursions versus closed forms, layouts versus counting
 identities) and reports one line per identity with the number of cases
 checked.
 """
@@ -84,10 +84,12 @@ def verify_tables(limit: int = 96, max_memory: int | None = None) -> SuiteReport
 def verify_lemmas(limit: int = 5000, max_memory: int | None = None) -> SuiteReport:
     """Size-classified counting identities and the ordered-factorization link."""
     halves = CheckResult("size-1 count is half the total count")
-    scaled = CheckResult("size-k count of k*n equals size-1 count of n")
+    scaled = CheckResult("size-k count of k*n equals size-1 count of n and the sieved g(n)")
     doubling = CheckResult("count equals twice the enumerated ordered factorizations")
+    g_values = sieve.g_array(limit, max_memory=max_memory).tolist()
+    tables = {m: a_sized(m) for m in range(1, limit + 1)}
     for n in range(2, limit + 1):
-        table = a_sized(n)
+        table = tables[n]
         total = a(n)
         halves.tally(
             2 * table.count(1) == total,
@@ -95,9 +97,12 @@ def verify_lemmas(limit: int = 5000, max_memory: int | None = None) -> SuiteRepo
         )
     for k in range(1, limit + 1):
         for n in range(1, limit // k + 1):
-            got = a_sized(k * n).count(k)
-            want = a_sized(n).count(1)
-            scaled.tally(got == want, f"k={k} n={n}: {got} != {want}")
+            got = tables[k * n].count(k)
+            want = tables[n].count(1)
+            scaled.tally(
+                got == want == g_values[n],
+                f"k={k} n={n}: {got} != {want} (sieved g(n) = {g_values[n]})",
+            )
     enum_limit = min(limit, 2000)
     for n in range(2, enum_limit + 1):
         tuples = g_enumerated(n)

@@ -133,15 +133,16 @@ def _is_strict_ratio_record(n: int, sums) -> bool:
     return all(bn * m > sums(m) * n for m in range(1, n))
 
 
-def test_criterion_03_rsa_stars_as_printed(record_search_1m):
+def test_criterion_03_rsa_stars_as_printed(record_search_1m, definitional):
     """The starred ratio-record column, checked exactly against the strict rule.
 
     The sieve's ratio records to one million must be the printed stars plus
     the seven unstarred records, nothing more or less, and must equal the
     frozen RSA_RECORDS.  Each of the seven is proved a strict record here by
     routes independent of the sieve: the 96-term reference sums (for n <= 96),
-    the definitional per-n b(m), and B_from_A built from recursive-divisor
-    counts.
+    the per-n b(m) and B_from_A built from recursive-divisor counts (both
+    walk core.divisor_lattice), and the definitional recursion for b from
+    the `definitional` fixture, which shares nothing with recdiv.core.
     """
     with criterion(3, "starred ratio-record listing plus the seven unstarred records"):
         table, _ = record_search_1m
@@ -157,6 +158,7 @@ def test_criterion_03_rsa_stars_as_printed(record_search_1m):
             if n <= len(B_FIRST_96):
                 assert _is_strict_ratio_record(n, lambda m: B_FIRST_96[m - 1]), f"n={n}"
             assert _is_strict_ratio_record(n, b), f"n={n}"
+            assert _is_strict_ratio_record(n, definitional.b), f"n={n}"
             assert all(ratios[n] > ratios[m] for m in range(1, n)), f"n={n}"
 
 

@@ -15,6 +15,7 @@ from recdiv import (
     ordered_factorizations,
     profile,
 )
+from recdiv import closedforms, core
 from recdiv.core import a_from_signature
 from recdiv.golden import A_FIRST_96, B_FIRST_96
 
@@ -56,9 +57,43 @@ def test_first_96_against_reference():
 
 @given(st.integers(min_value=1, max_value=2000))
 @settings(max_examples=150)
-def test_kappa_specializations(n):
-    assert kappa(n, 0) == a(n)
-    assert kappa(n, 1) == b(n)
+def test_kappa_specializations(definitional, n):
+    assert a(n) == kappa(n, 0) == definitional.kappa(n, 0)
+    assert b(n) == kappa(n, 1) == definitional.kappa(n, 1)
+
+
+@pytest.mark.parametrize("x, limit", [(0, 3000), (1, 3000), (2, 1000), (3, 1000)])
+def test_kappa_matches_definition(x, limit, definitional):
+    for n in range(1, limit + 1):
+        assert kappa(n, x) == definitional.kappa(n, x), f"n={n}"
+
+
+def test_g_matches_definition(definitional):
+    for n in range(1, 3001):
+        assert g(n) == definitional.g(n), f"n={n}"
+
+
+def test_sized_matches_definition(definitional):
+    for n in range(1, 2001):
+        assert a_sized(n).entries == definitional.sized(n), f"n={n}"
+
+
+def test_evaluators_factor_n_once(monkeypatch):
+    seen = []
+    real = core.factorize
+
+    def counting(n, *args):
+        seen.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(core, "factorize", counting)
+    monkeypatch.setattr(closedforms, "factorize", counting)
+    n = 720720
+    evaluators = (profile, b, g, a_sized, lambda m: kappa(m, 3), closedforms.B_from_A)
+    for evaluate in evaluators:
+        seen.clear()
+        evaluate(n)
+        assert seen == [n]
 
 
 def test_ordered_factorizations_of_12():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from recdiv import (
     sieve_records,
     tau_decompose,
 )
-from recdiv import sieve
+from recdiv import records, sieve
 from recdiv.records import parse_kinds
 
 
@@ -130,3 +131,37 @@ def test_sieve_disagreement_is_caught(monkeypatch, fn, kind):
     monkeypatch.setitem(sieve.TABLE_BUILDERS, fn, off_by_one_at_twelve)
     with pytest.raises(AssertionError, match=rf"^{fn}\(12\): sieve and \w+ disagree$"):
         sieve_records(50, kind)
+
+
+def _exact_records(arr, ratio):
+    """Oracle: strict records of arr[n] (or arr[n]/n) by one exact Python scan."""
+    out, best_num, best_den = [], 0, 1
+    for n in range(1, len(arr)):
+        den = n if ratio else 1
+        if int(arr[n]) * best_den > best_num * den:
+            out.append(n)
+            best_num, best_den = int(arr[n]), den
+    return out
+
+
+@pytest.mark.parametrize("fn, ratio", [("a", False), ("b", True)])
+def test_blocked_scans_match_exact_scan(fn, ratio):
+    block = records._SCAN_BLOCK
+    arr = sieve.TABLE_BUILDERS[fn](2 * block + 1)
+    want = _exact_records(arr, ratio)
+    scan = records._ratio_record_indices if ratio else records._int_record_indices
+    for bound in (1, 2, block - 1, block, block + 1, 2 * block, 2 * block + 1):
+        assert scan(arr[: bound + 1]) == [n for n in want if n <= bound], f"bound={bound}"
+
+
+def test_record_search_memory_stays_near_its_budget():
+    # check_budget charges the four int64 tables; the record scans and the
+    # sieve kernel's scratch may add only a small fraction on top.
+    bound = 10**6
+    tracemalloc.start()
+    try:
+        sieve_records(bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 4 * 8 * (bound + 1)

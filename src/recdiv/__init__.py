@@ -14,7 +14,6 @@ from .arith import (
     is_prime,
     proper_divisors,
     sigma,
-    spf_sieve,
 )
 from .closedforms import (
     B_closed,
@@ -100,7 +99,6 @@ __all__ = [
     "self_overlap",
     "sieve_records",
     "sigma",
-    "spf_sieve",
     "tau_decompose",
     "to_svg",
 ]

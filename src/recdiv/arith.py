@@ -7,7 +7,6 @@ Python integers, so results are exact at any scale the caller can afford.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -105,16 +104,10 @@ class Factorization:
         return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.pairs)
 
 
-def factorize(n: int, spf: list[int] | None = None) -> Factorization:
-    """Factor a positive integer.
-
-    Single values use trial division over a mod-30 wheel; pass a smallest
-    prime factor table from spf_sieve() to make range workloads cheap.
-    """
+def factorize(n: int) -> Factorization:
+    """Factor a positive integer by trial division over a mod-30 wheel."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if spf is not None and n < len(spf):
-        return _factorize_with_spf(n, spf)
     pairs = []
     rest = n
     for p in (2, 3, 5):
@@ -138,31 +131,6 @@ def factorize(n: int, spf: list[int] | None = None) -> Factorization:
     if rest > 1:
         pairs.append((rest, 1))
     return Factorization(tuple(pairs))
-
-
-def _factorize_with_spf(n: int, spf: list[int]) -> Factorization:
-    pairs = []
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        pairs.append((p, e))
-    return Factorization(tuple(pairs))
-
-
-def spf_sieve(limit: int) -> list[int]:
-    """Smallest-prime-factor table for 0..limit (spf[1] = 1)."""
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    spf = list(range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
 
 
 def divisors(n: int) -> list[int]:

@@ -4,7 +4,13 @@ Every constant here is regenerated from first principles by the test
 suite and the verify command: the 96-term tables against both the batch
 sieve and the per-n evaluators of recdiv.core, and the record lists
 against a full strict-record scan to one million with exact
-cross-multiplied ratio comparisons.
+cross-multiplied ratio comparisons.  The record lists end at RECORDS_BOUND,
+so `verify records` refuses a larger bound rather than reading them as
+complete past it.
+
+181440 is the only ratio record up to one million that sets no count
+record (RSA_NOT_RHC).  It is not the only one beyond: the next is
+2177280 < 10^7.
 """
 
 # a(n), the count of recursive divisors, for n = 1..96.
@@ -26,6 +32,9 @@ B_FIRST_96 = (
     86, 188, 68, 154, 98, 184, 72, 524, 74, 116, 144, 170, 98, 216, 80, 400,
     146, 128, 84, 430, 110, 134, 122, 276, 90, 432, 114, 202, 130, 146, 122, 768,
 )
+
+# The record lists below hold every record-setter up to this bound.
+RECORDS_BOUND = 10**6
 
 # Strict record-setters of a(n) up to one million, as (n, cofactor, tau)
 # with a(n) = cofactor * 2**tau and tau the maximum exponent in the
@@ -159,7 +168,8 @@ SA_RECORDS = (
     110880, 166320, 277200, 332640, 554400, 665280, 720720,
 )
 
-# The one ratio record below one million that is not also a count record.
+# The one ratio record up to one million that is not also a count record;
+# the next one is 2177280.
 RSA_NOT_RHC = 181440
 
 # a over products of k = 0..6 distinct primes (OEIS A000629).

@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import sieve
-from .arith import Factorization, d_of, factorize, sigma_of
-from .core import a, b
+from .arith import Factorization, factorize
+from .core import a_from_signature, profile
 
 
 class RecordKind(Flag):
@@ -176,7 +176,7 @@ def tau_decompose(n: int) -> tuple[int, int]:
     """Split a(n) as cofactor * 2**tau, tau being the largest exponent of n."""
     fac = factorize(n)
     tau = fac.max_exponent
-    count = a(n)
+    count = a_from_signature(fac.signature.exponents)
     if count % 2**tau:
         raise AssertionError(f"a({n}) = {count} is not divisible by 2^{tau}")
     return tau, count >> tau
@@ -212,32 +212,31 @@ def sieve_records(
 
     entries = []
     for n in sorted(flags):
-        fac = factorize(n)
-        av, bv, dv, sv = a(n), b(n), d_of(fac), sigma_of(fac)
+        p = profile(n)
         # Each batch sieve is required to agree with its per-n route: the
         # core evaluators for a and b, the factorization formulas for d and sigma.
         per_n = {
-            RecordKind.RHC: (av, "evaluator"),
-            RecordKind.RSA: (bv, "evaluator"),
-            RecordKind.HC: (dv, "factorization"),
-            RecordKind.SA: (sv, "factorization"),
+            RecordKind.RHC: (p.a, "evaluator"),
+            RecordKind.RSA: (p.b, "evaluator"),
+            RecordKind.HC: (p.d, "factorization"),
+            RecordKind.SA: (p.sigma, "factorization"),
         }
         for kind, arr in arrays.items():
             value, route = per_n[kind]
             if value != int(arr[n]):
                 raise AssertionError(f"{needed[kind]}({n}): sieve and {route} disagree")
-        tau = fac.max_exponent
+        tau = p.factorization.max_exponent
         entries.append(
             RecordEntry(
                 n=n,
-                factorization=fac,
+                factorization=p.factorization,
                 kinds=flags[n],
-                a=av,
-                b=bv,
-                d=dv,
-                sigma=sv,
+                a=p.a,
+                b=p.b,
+                d=p.d,
+                sigma=p.sigma,
                 tau=tau,
-                tau_cofactor=av >> tau,
+                tau_cofactor=p.a >> tau,
             )
         )
     table = RecordTable(bound=bound, kinds=kinds, entries=tuple(entries))

@@ -4,13 +4,18 @@ Each suite cross-checks independent computation routes (batch sieve versus
 per-n evaluators, recursions versus closed forms, layouts versus counting
 identities) and reports one line per identity with the number of cases
 checked.
+
+SUITES is the one registry of these checks: the CLI runs a suite from it,
+and the acceptance tests run every suite at its default bound, the `limit`
+default in its signature.  The tables and records suites compare against
+frozen reference data, so they refuse a bound past its end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from xml.etree import ElementTree
 
 from . import closedforms, golden, records, sieve
@@ -60,9 +65,17 @@ class SuiteReport:
         return out
 
 
+def _within_reference(suite: str, limit: int, reference: int) -> None:
+    if limit > reference:
+        raise ValueError(
+            f"verify {suite} compares against reference data that ends at {reference}; "
+            f"bound {limit} is past it, give at most {reference}"
+        )
+
+
 def verify_tables(limit: int = 96, max_memory: int | None = None) -> SuiteReport:
     """First-96 reference values against both evaluation strategies."""
-    limit = min(limit, 96)
+    _within_reference("tables", limit, len(golden.A_FIRST_96))
     a_arr = sieve.a_array(limit, max_memory=max_memory)
     b_arr = sieve.b_array(limit, max_memory=max_memory)
     sieve_check = CheckResult("sieved tables match reference values")
@@ -115,27 +128,10 @@ def shape_grid():
     """Ordered prime-power shapes over the verification grid."""
     for count in (1, 2, 3):
         for primes in permutations(GRID_PRIMES, count):
-            for exps in _exponent_combos(count):
+            for exps in product(range(1, GRID_MAX_EXPONENT + 1), repeat=count):
                 shape = closedforms.PrimePowerShape(tuple(zip(primes, exps)))
                 if shape.n <= GRID_MAX_N:
                     yield shape
-
-
-def _exponent_combos(count: int):
-    if count == 1:
-        return [(c,) for c in range(1, GRID_MAX_EXPONENT + 1)]
-    if count == 2:
-        return [
-            (c, d)
-            for c in range(1, GRID_MAX_EXPONENT + 1)
-            for d in range(1, GRID_MAX_EXPONENT + 1)
-        ]
-    return [
-        (c, d, e)
-        for c in range(1, GRID_MAX_EXPONENT + 1)
-        for d in range(1, GRID_MAX_EXPONENT + 1)
-        for e in range(1, GRID_MAX_EXPONENT + 1)
-    ]
 
 
 def verify_closedforms(limit: int = 10_000, max_memory: int | None = None) -> SuiteReport:
@@ -187,8 +183,11 @@ def verify_closedforms(limit: int = 10_000, max_memory: int | None = None) -> Su
     )
 
 
-def verify_records(limit: int = 10**6, max_memory: int | None = None) -> SuiteReport:
+def verify_records(
+    limit: int = golden.RECORDS_BOUND, max_memory: int | None = None
+) -> SuiteReport:
     """Record search against the frozen reference lists."""
+    _within_reference("records", limit, golden.RECORDS_BOUND)
     table = records.sieve_records(limit, max_memory=max_memory)
     rhc = CheckResult("count records match reference (n, cofactor, tau)")
     want_rhc = [(n, c, t) for n, c, t in golden.RHC_RECORDS if n <= limit]
@@ -271,17 +270,11 @@ SUITES = {
     "trees": verify_trees,
 }
 
-DEFAULT_LIMITS = {
-    "tables": 96,
-    "lemmas": 5000,
-    "closedforms": 10_000,
-    "records": 10**6,
-    "trees": 500,
-}
-
 
 def run_suite(name: str, limit: int | None = None, max_memory: int | None = None) -> SuiteReport:
+    """Run one suite, at its default bound unless a limit is given."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    bound = DEFAULT_LIMITS[name] if limit is None else limit
-    return SUITES[name](bound, max_memory=max_memory)
+    if limit is None:
+        return SUITES[name](max_memory=max_memory)
+    return SUITES[name](limit, max_memory=max_memory)

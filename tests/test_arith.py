@@ -11,7 +11,6 @@ from recdiv import (
     is_prime,
     proper_divisors,
     sigma,
-    spf_sieve,
 )
 from recdiv.arith import divisors_of
 
@@ -81,12 +80,6 @@ def test_formulas_match_enumeration_below_1e4():
         assert sigma(n) == sum(divs)
 
 
-def test_round_trip_below_1e5():
-    spf = spf_sieve(100_000)
-    for n in range(1, 100_001):
-        assert factorize(n, spf).n == n
-
-
 @given(st.integers(min_value=1, max_value=10**12))
 @settings(max_examples=200)
 def test_round_trip_trial_division(n):
@@ -100,16 +93,6 @@ def test_round_trip_trial_division(n):
 def test_divisors_closed_under_complement(n):
     divs = divisors(n)
     assert sorted(n // m for m in divs) == divs
-
-
-@given(st.integers(min_value=1, max_value=99_999))
-@settings(max_examples=200)
-def test_spf_route_matches_trial_division(n):
-    spf = _SPF
-    assert factorize(n, spf) == factorize(n)
-
-
-_SPF = spf_sieve(100_000)
 
 
 def test_divisors_of_matches_scan():

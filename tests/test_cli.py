@@ -1,6 +1,6 @@
 import pytest
 
-from recdiv import records
+from recdiv import golden, records
 
 from recdiv.cli import (
     EXIT_BUDGET,
@@ -8,6 +8,7 @@ from recdiv.cli import (
     EXIT_IO,
     EXIT_MEMORY,
     EXIT_OVERFLOW,
+    EXIT_USAGE,
     EXIT_VERIFY,
     main,
 )
@@ -115,6 +116,28 @@ def test_verify_trees_small(capsys):
     code, out, _ = run(capsys, "verify", "trees", "60")
     assert code == 0
     assert out.count("PASS") >= 3
+
+
+def test_verify_reports_a_failing_check(monkeypatch, capsys):
+    wrong = list(golden.A_FIRST_96)
+    wrong[11] += 1  # a(12)
+    monkeypatch.setattr(golden, "A_FIRST_96", tuple(wrong))
+    code, out, _ = run(capsys, "verify", "tables")
+    assert code == EXIT_VERIFY
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL sieved tables match reference values (1 of 96): n=12:")
+    assert lines[-1] == "FAIL suite tables"
+
+
+@pytest.mark.parametrize(
+    "suite, bound, reference", [("tables", 97, 96), ("records", 10**6 + 1, 10**6)]
+)
+def test_verify_refuses_bounds_past_reference_data(capsys, suite, bound, reference):
+    code, out, err = run(capsys, "verify", suite, str(bound))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"bound {bound} " in err and f"ends at {reference};" in err
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -15,7 +15,7 @@ from recdiv import (
     ordered_factorizations,
     profile,
 )
-from recdiv import closedforms, core
+from recdiv import closedforms, core, records
 from recdiv.core import a_from_signature
 from recdiv.golden import A_FIRST_96, B_FIRST_96
 
@@ -86,10 +86,18 @@ def test_evaluators_factor_n_once(monkeypatch):
         seen.append(n)
         return real(n, *args)
 
-    monkeypatch.setattr(core, "factorize", counting)
-    monkeypatch.setattr(closedforms, "factorize", counting)
+    for module in (core, closedforms, records):
+        monkeypatch.setattr(module, "factorize", counting)
     n = 720720
-    evaluators = (profile, b, g, a_sized, lambda m: kappa(m, 3), closedforms.B_from_A)
+    evaluators = (
+        profile,
+        b,
+        g,
+        a_sized,
+        lambda m: kappa(m, 3),
+        closedforms.B_from_A,
+        records.tau_decompose,
+    )
     for evaluate in evaluators:
         seen.clear()
         evaluate(n)

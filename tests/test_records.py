@@ -11,7 +11,7 @@ from recdiv import (
     sieve_records,
     tau_decompose,
 )
-from recdiv import records, sieve
+from recdiv import arith, core, records, sieve
 from recdiv.records import parse_kinds
 
 
@@ -57,18 +57,15 @@ def test_entry_values_and_ratios():
 
 
 def test_classify_everything_at_720(record_search_1m):
-    table, _ = record_search_1m
-    assert classify(720, table) == ALL_KINDS
+    assert classify(720, record_search_1m) == ALL_KINDS
 
 
 def test_classify_prime_is_no_record(record_search_1m):
-    table, _ = record_search_1m
-    assert classify(7, table) == RecordKind(0)
+    assert classify(7, record_search_1m) == RecordKind(0)
 
 
 def test_classify_the_exceptional_ratio_record(record_search_1m):
-    table, _ = record_search_1m
-    kinds = classify(181440, table)
+    kinds = classify(181440, record_search_1m)
     assert RecordKind.RSA in kinds
     assert RecordKind.RHC not in kinds
 
@@ -90,12 +87,12 @@ def test_tau_decompose_examples():
 
 
 def test_record_values_strictly_increase(record_search_1m):
-    table, _ = record_search_1m
+    entries = record_search_1m.entries
     for kind in (RecordKind.RHC, RecordKind.RSA, RecordKind.HC, RecordKind.SA):
-        chain = [e.record_value(kind) for e in table.entries if kind in e.kinds]
+        chain = [e.record_value(kind) for e in entries if kind in e.kinds]
         assert chain[0] is not None
         assert all(u < v for u, v in zip(chain, chain[1:]))
-        first = next(e for e in table.entries if kind in e.kinds)
+        first = next(e for e in entries if kind in e.kinds)
         assert first.n == 1
 
 
@@ -165,3 +162,17 @@ def test_record_search_memory_stays_near_its_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 4 * 8 * (bound + 1)
+
+
+def test_record_search_factors_each_entry_once(monkeypatch):
+    seen = []
+    real = arith.factorize
+
+    def counting(n):
+        seen.append(n)
+        return real(n)
+
+    for module in (arith, core, records):
+        monkeypatch.setattr(module, "factorize", counting)
+    table = sieve_records(10**5)
+    assert sorted(seen) == [e.n for e in table.entries]

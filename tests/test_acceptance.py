@@ -8,7 +8,8 @@ ranges: the 96 reference values by sieve and by evaluator, the size
 identities to 5000 (43376 scaled pairs), the tuple enumeration to 2000,
 13308 prime-power shapes, the ratio-from-counts identity to 10^4, the
 record search to one million (66 count records) and the tree identities
-to 500.
+to 500.  Each suite runs once per session; the test_criterion_NN tests
+name the checks of that one report that carry each acceptance criterion.
 
 The starred ratio-record column is checked against the strict record rule.
 That rule returns the printed stars plus seven values the listing leaves
@@ -18,12 +19,19 @@ Criterion 9, 2^tau dividing a(n), is checked here alone.
 """
 
 import time
+from functools import cache
 
 import numpy as np
 import pytest
 
 from recdiv import B_from_A, RecordKind, b, factorize, verify
-from recdiv.golden import B_FIRST_96, HC_RECORDS, RHC_RECORDS, RSA_RECORDS
+from recdiv.golden import (
+    B_FIRST_96,
+    DISTINCT_PRIME_COUNTS,
+    HC_RECORDS,
+    RHC_RECORDS,
+    RSA_RECORDS,
+)
 from recdiv.sieve import a_array, d_array
 
 # Each suite's report at its default bound, line for line.
@@ -69,13 +77,98 @@ TRANSCRIPTS = {
 TIME_LIMITS = {"tables": 1.0, "records": 60.0}
 
 
-@pytest.mark.parametrize("suite", sorted(verify.SUITES))
-def test_suite_transcript(suite):
+@cache
+def _timed_report(suite: str) -> tuple[verify.SuiteReport, float]:
+    """One run of a suite at its default bound, and its wall time in seconds."""
     start = time.perf_counter()
     report = verify.run_suite(suite)
-    elapsed = time.perf_counter() - start
+    return report, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_suite_transcript(suite):
+    report, elapsed = _timed_report(suite)
     assert report.lines() == TRANSCRIPTS[suite]
     assert elapsed < TIME_LIMITS.get(suite, float("inf"))
+
+
+def _assert_check(suite: str, name: str, checked: int) -> None:
+    """The suite's check `name` passed over exactly `checked` cases."""
+    report, _ = _timed_report(suite)
+    (result,) = [r for r in report.results if r.name == name]
+    assert result.passed, result.line()
+    assert result.checked == checked
+
+
+def test_criterion_01_count_table_first_96():
+    """The sieve reproduces the 96 reference values in under a second.
+
+    The tables suite compares counts and sums together in each line; this
+    criterion rests on the sieve line, criterion 2 on the per-n line.
+    """
+    _assert_check("tables", "sieved tables match reference values", 96)
+    assert _timed_report("tables")[1] < TIME_LIMITS["tables"]
+
+
+def test_criterion_02_sum_table_first_96():
+    """The per-n evaluators reproduce the 96 reference values in under a second."""
+    _assert_check("tables", "per-n recursion matches reference values", 96)
+    assert _timed_report("tables")[1] < TIME_LIMITS["tables"]
+
+
+def test_criterion_03_record_table_reproduction():
+    """The record search to one million reproduces the reference lists.
+
+    Count records with their cofactors and tau, divisor-count and
+    divisor-sum records, and 181440 as the lone ratio record that sets no
+    count record, all within the time bound.  The starred ratio column is
+    test_criterion_03_rsa_stars_as_printed.
+    """
+    _assert_check("records", "count records match reference (n, cofactor, tau)", 1)
+    _assert_check("records", "divisor-count records match reference (n, d)", 1)
+    _assert_check("records", "divisor-sum ratio records match reference list", 1)
+    _assert_check(
+        "records", "every ratio record is a count record, save the known one", len(RSA_RECORDS)
+    )
+    assert _timed_report("records")[1] < TIME_LIMITS["records"]
+
+
+def test_criterion_04_count_doubles_enumerated_factorizations():
+    """a(n) = 2 g(n) for 2 <= n <= 2000, plus g(12) = 8 by enumeration."""
+    _assert_check("lemmas", "count equals twice the enumerated ordered factorizations", 2000)
+
+
+def test_criterion_05_sized_count_identities():
+    """The size-1 and size-k identities to 5000, every scaled pair k*n <= 5000."""
+    _assert_check("lemmas", "size-1 count is half the total count", 4999)
+    _assert_check(
+        "lemmas", "size-k count of k*n equals size-1 count of n and the sieved g(n)", 43376
+    )
+
+
+def test_criterion_06_ratio_from_counts_identity():
+    """B(n) from the counts equals b(n)/n exactly for n <= 10^4."""
+    _assert_check(
+        "closedforms", "ratio from counts matches the sum for all n up to the limit", 10_000
+    )
+
+
+def test_criterion_07_closed_form_triple_agreement():
+    """Definition, recursion and closed form agree on all 13308 grid shapes."""
+    _assert_check("closedforms", "count: recursion and closed form match the definition", 13308)
+    _assert_check("closedforms", "sum: recursion matches the definition", 13308)
+    _assert_check("closedforms", "ratio closed form matches the definition (1-2 primes)", 768)
+
+
+def test_criterion_08_distinct_prime_sequence():
+    """The distinct-prime counts 2, 6, 26, 150, 1082, 9366 hold by closed form and definition."""
+    assert DISTINCT_PRIME_COUNTS[1:] == (2, 6, 26, 150, 1082, 9366)
+    _assert_check("closedforms", "distinct-prime counts match reference and definition", 15)
+
+
+def test_criterion_11_count_records_have_monotone_exponents():
+    """Every count record to one million has non-increasing exponents."""
+    _assert_check("records", "count records have non-increasing exponents", len(RHC_RECORDS))
 
 
 def test_reference_record_lists_hold_printed_values():

@@ -73,9 +73,11 @@ def cmd_tree(args: argparse.Namespace) -> int:
     )
     tree = layout(args.n, budget=args.budget)
     _write_output(to_svg(tree, style), args.output)
-    print(f"squares={tree.square_count} sidesum={tree.side_sum}")
+    # With the SVG on stdout, the summary goes to stderr so stdout stays a valid document.
+    summary = sys.stderr if args.output is None else sys.stdout
+    print(f"squares={tree.square_count} sidesum={tree.side_sum}", file=summary)
     if args.check_overlap:
-        print(f"overlaps={len(self_overlap(tree))}")
+        print(f"overlaps={len(self_overlap(tree))}", file=summary)
     return EXIT_OK
 
 
@@ -123,7 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tree = sub.add_parser("tree", help="render the divisor tree of n as SVG")
     p_tree.add_argument("n", type=_positive_int)
-    p_tree.add_argument("-o", "--output", default=None, help="SVG path (default stdout)")
+    p_tree.add_argument(
+        "-o",
+        "--output",
+        default=None,
+        help="SVG path (default stdout, with the summary lines on stderr)",
+    )
     p_tree.add_argument("--stroke-width", type=float, default=1.0)
     p_tree.add_argument("--margin", type=int, default=2)
     p_tree.add_argument("--no-shading", action="store_true")

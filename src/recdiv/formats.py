@@ -34,8 +34,11 @@ def format_table(name: str, values: Sequence[int], fmt: ExportFormat) -> str:
         lines.extend(f"{n},{v}" for n, v in enumerate(values, start=1))
         return "\n".join(lines) + "\n"
     if fmt is ExportFormat.JSON:
-        rows = [{"n": n, name: int(v)} for n, v in enumerate(values, start=1)]
-        return json.dumps(rows, separators=(",", ":")) + "\n"
+        # The bytes of json.dumps over [{"n": n, name: v}, ...] with compact
+        # separators, without building one dict per value.
+        key = json.dumps(name)
+        rows = ",".join(f'{{"n":{n},{key}:{int(v)}}}' for n, v in enumerate(values, start=1))
+        return f"[{rows}]\n"
     lines = [f"{n} {v}" for n, v in enumerate(values, start=1)]
     return "\n".join(lines) + "\n"
 

@@ -93,25 +93,33 @@ def _place(
     depth: int,
     direction: ArmDirection,
     out: list[PlacedSquare],
+    arms: dict[int, list[int]],
 ) -> None:
     out.append(PlacedSquare(side_len, x, y, depth, direction))
+    arm = arms.get(side_len)
+    if arm is None:
+        arm = arms[side_len] = proper_divisors(side_len)[::-1]
     child_direction = direction.rotated_ccw()
     px, py, pside = x, y, side_len
-    for m in reversed(proper_divisors(side_len)):
+    for m in arm:
         cx, cy = _attach(direction, px, py, pside, m)
-        _place(m, cx, cy, depth + 1, child_direction, out)
+        _place(m, cx, cy, depth + 1, child_direction, out, arms)
         px, py, pside = cx, cy, m
 
 
 def layout(n: int, *, budget: int = DEFAULT_SQUARE_BUDGET) -> DivisorTreeLayout:
-    """Deterministic divisor-tree layout for n, root at the origin."""
+    """Deterministic divisor-tree layout for n, root at the origin.
+
+    Every side divides n, so the tree has at most d(n) distinct sides; each
+    side's arm (its proper divisors, largest first) is computed once per call.
+    """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     count = a(n)
     if count > budget:
         raise BudgetError(f"divisor tree for {n} needs {count} squares; budget is {budget}")
     squares: list[PlacedSquare] = []
-    _place(n, 0, 0, 0, ArmDirection.NE, squares)
+    _place(n, 0, 0, 0, ArmDirection.NE, squares, {})
     min_x = min(s.x for s in squares)
     min_y = min(s.y for s in squares)
     max_x = max(s.x + s.side for s in squares)
@@ -124,6 +132,9 @@ def self_overlap(tree: DivisorTreeLayout) -> list[tuple[int, int]]:
 
     Corner or edge contact does not count.  A sort-by-x sweep narrows the
     pair scan; each surviving pair is decided by exact integer comparison.
+    The cost is O(N log N) for the sort plus one step per candidate pair,
+    i.e. per pair whose x-intervals overlap: 5.3 M candidates for the
+    219,136 squares of n = 11520.
     """
     squares = tree.squares
     order = sorted(range(len(squares)), key=lambda i: squares[i].x)
@@ -131,7 +142,8 @@ def self_overlap(tree: DivisorTreeLayout) -> list[tuple[int, int]]:
     for pos, i in enumerate(order):
         si = squares[i]
         x_limit = si.x + si.side
-        for j in order[pos + 1 :]:
+        for q in range(pos + 1, len(order)):
+            j = order[q]
             sj = squares[j]
             if sj.x >= x_limit:
                 break
@@ -149,13 +161,6 @@ class SvgStyle:
     stroke: str = "#222222"
 
 
-def _fill(depth: int, shade: bool) -> str:
-    if not shade:
-        return "#ffffff"
-    level = 255 - 16 * min(depth, 7)
-    return f"#{level:02x}{level:02x}{level:02x}"
-
-
 def to_svg(tree: DivisorTreeLayout, style: SvgStyle | None = None) -> str:
     """Render a layout as an SVG 1.1 document, one rect per square.
 
@@ -168,15 +173,20 @@ def to_svg(tree: DivisorTreeLayout, style: SvgStyle | None = None) -> str:
     width = (max_x - min_x) + 2 * m
     height = (max_y - min_y) + 2 * m
     view_box = f"{min_x - m} {-max_y - m} {width} {height}"
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view_box}">',
+    # Shading darkens by 16 per depth down to depth 7, so eight tails cover every rect.
+    levels = [255 - 16 * depth if style.shade_by_depth else 255 for depth in range(8)]
+    tails = [
+        f'fill="#{v:02x}{v:02x}{v:02x}" stroke="{style.stroke}" '
+        f'stroke-width="{style.stroke_width}"/>'
+        for v in levels
     ]
-    for s in tree.squares:
-        lines.append(
-            f'  <rect x="{s.x}" y="{-(s.y + s.side)}" width="{s.side}" height="{s.side}" '
-            f'fill="{_fill(s.depth, style.shade_by_depth)}" stroke="{style.stroke}" '
-            f'stroke-width="{style.stroke_width}"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view_box}">\n'
+    )
+    rects = (
+        f'  <rect x="{s.x}" y="{-(s.y + s.side)}" width="{s.side}" height="{s.side}" '
+        f"{tails[min(s.depth, 7)]}\n"
+        for s in tree.squares
+    )
+    return "".join([head, *rects, "</svg>\n"])

@@ -1,3 +1,5 @@
+from xml.etree import ElementTree
+
 import pytest
 
 from recdiv import golden, records
@@ -85,6 +87,14 @@ def test_tree_command_writes_file(tmp_path, capsys):
     assert "squares=6 sidesum=20" in out
     assert "overlaps=0" in out
     assert path.read_text().count("<rect") == 6
+
+
+def test_tree_to_stdout_keeps_the_document_valid(capsys):
+    code, out, err = run(capsys, "tree", "6", "--check-overlap")
+    assert code == 0
+    assert out.endswith("</svg>\n")
+    assert ElementTree.fromstring(out).tag.endswith("svg")
+    assert err.splitlines() == ["squares=6 sidesum=14", "overlaps=0"]
 
 
 def test_tree_of_one_hundred(tmp_path, capsys):

@@ -11,6 +11,7 @@ from recdiv.formats import (
     parse_table,
     rational_str,
 )
+from recdiv.sieve import table_array
 
 
 def test_rational_strings_never_decimal():
@@ -37,6 +38,15 @@ def test_table_round_trips():
     pairs = list(enumerate(values, start=1))
     for fmt in ExportFormat:
         assert parse_table(format_table("a", values, fmt), fmt) == pairs
+
+
+@pytest.mark.parametrize("name", ["a", "b", "g", "d", "sigma"])
+def test_table_json_matches_json_dumps(name):
+    values = [int(v) for v in table_array(name, 3000)[1:]] + [2**70 + 1]
+    rows = [{"n": n, name: v} for n, v in enumerate(values, start=1)]
+    oracle = json.dumps(rows, separators=(",", ":")) + "\n"
+    assert format_table(name, values, ExportFormat.JSON) == oracle
+    assert format_table(name, [], ExportFormat.JSON) == "[]\n"
 
 
 def test_bfile_stable_across_runs():

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from xml.etree import ElementTree
 
@@ -12,11 +13,15 @@ from recdiv import (
     a,
     b,
     d,
+    divisors,
     layout,
     self_overlap,
     sigma,
     to_svg,
 )
+from recdiv import tree as tree_module
+from recdiv.arith import proper_divisors
+from recdiv.tree import DivisorTreeLayout, PlacedSquare
 
 
 def rect_count(svg_text: str) -> int:
@@ -39,6 +44,49 @@ def brute_force_overlaps(tree):
             ):
                 pairs.append((i, j))
     return pairs
+
+
+def per_square_layout(n):
+    """Reference layout: call proper_divisors for every square, sharing no lists."""
+
+    def place(side_len, x, y, depth, direction, out):
+        out.append(PlacedSquare(side_len, x, y, depth, direction))
+        child_direction = direction.rotated_ccw()
+        px, py, pside = x, y, side_len
+        for m in reversed(proper_divisors(side_len)):
+            cx, cy = tree_module._attach(direction, px, py, pside, m)
+            place(m, cx, cy, depth + 1, child_direction, out)
+            px, py, pside = cx, cy, m
+
+    squares = []
+    place(n, 0, 0, 0, ArmDirection.NE, squares)
+    box = (
+        min(s.x for s in squares),
+        min(s.y for s in squares),
+        max(s.x + s.side for s in squares),
+        max(s.y + s.side for s in squares),
+    )
+    return DivisorTreeLayout(n, tuple(squares), box)
+
+
+def per_rect_svg(tree, style):
+    """Reference rendering: format each rect's fill and style in full."""
+    min_x, min_y, max_x, max_y = tree.bounding_box
+    m = style.margin
+    view_box = f"{min_x - m} {-max_y - m} {(max_x - min_x) + 2 * m} {(max_y - min_y) + 2 * m}"
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view_box}">',
+    ]
+    for s in tree.squares:
+        level = 255 - 16 * min(s.depth, 7) if style.shade_by_depth else 255
+        lines.append(
+            f'  <rect x="{s.x}" y="{-(s.y + s.side)}" width="{s.side}" height="{s.side}" '
+            f'fill="#{level:02x}{level:02x}{level:02x}" stroke="{style.stroke}" '
+            f'stroke-width="{style.stroke_width}"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 def test_unit_layout():
@@ -124,6 +172,47 @@ def test_overlap_matches_brute_force_on_24():
 def test_overlap_sweep_matches_brute_force(n):
     tree = layout(n)
     assert self_overlap(tree) == brute_force_overlaps(tree)
+
+
+def test_layout_factors_each_side_once(monkeypatch):
+    sides = []
+
+    def counting(m):
+        sides.append(m)
+        return proper_divisors(m)
+
+    monkeypatch.setattr(tree_module, "proper_divisors", counting)
+    n = 4608
+    tree = layout(n)
+    assert sorted(sides) == divisors(n)  # every divisor is a side, each factored once
+    monkeypatch.undo()
+    assert tree == per_square_layout(n)
+
+
+def test_overlap_scan_is_linear_in_disjoint_squares():
+    # A scan that copied the rest of its x-sorted order for every square
+    # would move about 1.25e9 list entries here.
+    squares = tuple(PlacedSquare(1, i, 0, 1, ArmDirection.NE) for i in range(50_000))
+    row = DivisorTreeLayout(0, squares, (0, 0, len(squares), 1))
+    start = time.perf_counter()
+    assert self_overlap(row) == []
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n, pairs", [(1920, 312), (3600, 798), (4608, 209), (11520, 13910)])
+def test_overlap_pair_counts_of_large_trees(n, pairs):
+    assert len(self_overlap(layout(n))) == pairs
+
+
+@pytest.mark.parametrize(
+    "style",
+    [SvgStyle(), SvgStyle(shade_by_depth=False), SvgStyle(stroke_width=2.5, margin=0)],
+    ids=["shaded", "plain", "wide-stroke"],
+)
+def test_svg_matches_per_rect_rendering(style):
+    tree = layout(1536)  # 2^9 * 3: depths up to 10, past the darkest shade at 7
+    assert max(s.depth for s in tree.squares) > 7
+    assert to_svg(tree, style) == per_rect_svg(tree, style)
 
 
 def test_svg_rect_counts():

@@ -7,19 +7,56 @@ Python integers, so results are exact at any scale the caller can afford.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from .errors import BudgetError
+
+# Miller-Rabin witnesses: the first thirteen primes.  After the first k of
+# them pass, n is proven prime when it lies below the k-th bound, the
+# smallest strong pseudoprime to those k bases (OEIS A014233).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 # Gaps between consecutive integers coprime to 30, starting from 7.
 _WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
 
+# factorize trial-divides by primes below this bound and splits what is left
+# with Pollard-Brent rho.
+TRIAL_BOUND = 1000
+
+# Most rho steps (one polynomial evaluation each) that one factorize call may
+# take.  A 64-bit semiprime needs about 10^5; an n with two prime factors above
+# 2^44 typically needs more and is refused with BudgetError.
+RHO_BUDGET = 1 << 22
+
+# Rho steps between gcd computations.
+_RHO_BATCH = 128
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check adequate for 64-bit-scale inputs."""
+    """Miller-Rabin primality check with the first thirteen primes as witnesses.
+
+    Proven for every n below 3.317·10^24 (3317044064679887385961981, the
+    smallest strong pseudoprime to all thirteen bases).  Above that bound a
+    True means n is a strong probable prime to those bases, not a proof.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -27,16 +64,17 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for w in _MR_WITNESSES:
+    for w, bound in zip(_MR_WITNESSES, _MR_PROVEN_BELOW):
         x = pow(w, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x not in (1, n - 1):
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:
+            return True
     return True
 
 
@@ -104,8 +142,74 @@ class Factorization:
         return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.pairs)
 
 
+def _pollard_brent(n: int, c: int, limit: int) -> tuple[int | None, int]:
+    """Brent's cycle search for a divisor of composite n under y -> y^2 + c mod n.
+
+    Returns (divisor, steps).  The divisor is n itself when this c fails, and
+    None when `limit` steps ran out first.
+    """
+    y, r, q, found, steps = 2, 1, 1, 1, 0
+    while found == 1:
+        if steps + 2 * r > limit:
+            return None, steps
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and found == 1:
+            saved = y
+            for _ in range(min(_RHO_BATCH, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            found = gcd(q, n)
+            k += _RHO_BATCH
+        steps += 2 * r
+        r *= 2
+    if found == n:
+        # The batch overshot the collision; replay it one step at a time.
+        while True:
+            saved = (saved * saved + c) % n
+            found = gcd(abs(x - saved), n)
+            if found > 1:
+                break
+    return found, steps
+
+
+def _rho_split(m: int, n: int) -> list[tuple[int, int]]:
+    """Ascending (prime, exponent) pairs of m, a cofactor of n, by Pollard-Brent rho.
+
+    Raises BudgetError once splitting m takes more than RHO_BUDGET steps.
+    """
+    exponents: dict[int, int] = {}
+    pending = [m]
+    spent = 0
+    while pending:
+        part = pending.pop()
+        if is_prime(part):
+            exponents[part] = exponents.get(part, 0) + 1
+            continue
+        c = 1
+        while True:
+            factor, steps = _pollard_brent(part, c, RHO_BUDGET - spent)
+            spent += steps
+            if factor is None:
+                raise BudgetError(
+                    f"factoring {n} exceeded the Pollard-Brent budget of {RHO_BUDGET} steps"
+                )
+            if factor != part:
+                break
+            c += 1
+        pending += [factor, part // factor]
+    return sorted(exponents.items())
+
+
 def factorize(n: int) -> Factorization:
-    """Factor a positive integer by trial division over a mod-30 wheel."""
+    """Factor a positive integer.
+
+    Trial division over a mod-30 wheel takes the primes below TRIAL_BOUND;
+    Pollard-Brent rho splits any composite cofactor left, within RHO_BUDGET
+    steps, and raises BudgetError past them.
+    """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     pairs = []
@@ -119,7 +223,7 @@ def factorize(n: int) -> Factorization:
             pairs.append((p, e))
     p = 7
     gap_index = 0
-    while p * p <= rest:
+    while p * p <= rest and p < TRIAL_BOUND:
         if rest % p == 0:
             e = 0
             while rest % p == 0:
@@ -128,7 +232,9 @@ def factorize(n: int) -> Factorization:
             pairs.append((p, e))
         p += _WHEEL_GAPS[gap_index]
         gap_index = (gap_index + 1) % len(_WHEEL_GAPS)
-    if rest > 1:
+    if p * p <= rest:
+        pairs += _rho_split(rest, n)
+    elif rest > 1:
         pairs.append((rest, 1))
     return Factorization(tuple(pairs))
 

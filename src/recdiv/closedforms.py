@@ -1,8 +1,10 @@
 """Recursions and explicit formulas over one- to three-prime shapes.
 
 Everything here except B_from_A is derived independently of the evaluators in
-core.py, precisely so the two routes can be cross-checked against each other;
-B_from_A sums counts over the same divisor-lattice walk that core.b uses.
+core.py, precisely so the two routes can be cross-checked against each other.
+B_from_A sums counts over n's divisors with the walk that core.a_sized uses,
+each count from the x = 0 per-prime form; it shares nothing with the x = 1
+per-prime sums that give core.b, which lists no divisor.
 The recursion for the divisor sum over three primes is implemented with sum
 terms throughout its inclusion-exclusion body; its correctness gate is exact
 agreement with the per-n evaluator on the full verification grid.

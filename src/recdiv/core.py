@@ -1,4 +1,4 @@
-"""The recursive divisor function family, evaluated over the divisor lattice.
+"""The recursive divisor function family, evaluated from per-prime sums.
 
 kappa(n, x) = n^x + Σ kappa(m, x) over the proper divisors m of n.  Its
 x = 0 and x = 1 specializations are the two quantities this package revolves
@@ -12,22 +12,49 @@ F ∗ (2δ − 1) = f and F = f ∗ (2δ − 1)⁻¹.  The inverse h satisfies
 over the proper divisors of n.  That is the recurrence of g(n), the number of
 ordered factorizations of n into integers > 1, so h = g and
 
-    kappa(n, x) = Σ_{d|n} d^x · g(n/d).
+    kappa(n, x) = Σ_{d|n} d^x · g(n/d) = Σ_{d|n} (n/d)^x · g(d).
 
 Hence a = 1 ∗ g, which is 2g for n > 1; b = id ∗ g; and the size-k count of
 a_sized(n) is g(n/k), one chain of proper divisors from n down to k per
 ordered factorization of n/k.
 
-g depends only on the exponent signature, so it is read from the
-a_from_signature cache.  divisor_lattice factors n once and walks the
-exponent vectors of its divisors; every evaluator costs one factorization
-plus one cache lookup per divisor.  Every cache here is keyed by exponent
-data (a signature or an exponent vector), never by n.  The definitional recursion is kept in the
-tests as the oracle, and the tuple enumeration g_enumerated is a second,
-independent oracle for g.
+The divisor sum splits over the primes of n = Π p_k^E_k, Ω = Σ E_k.
+MacMahon's formula (OEIS A074206) counts the ordered factorizations of d
+into exactly j parts > 1.  The ordered j-tuples of positive integers with
+product d number Π_k C(e_k + j − 1, e_k), e_k being the exponent of p_k in
+d, and inclusion-exclusion over the parts equal to 1 leaves
 
-All functions are pure; memo caches are process-local functools caches,
-safe to share across threads under CPython.
+    g_j(d) = Σ_{0≤i≤j} (−1)^i C(j, i) Π_k C(e_k + j − i − 1, e_k).
+
+The i = j term counts empty tuples, so it is [d = 1]; drop it.  For d > 1
+that changes nothing.  For d = 1 every product is 1 and the sum over i < j
+is −(−1)^j instead of 0, so the d = 1 term is taken out by hand below.  For
+d > 1, g_j(d) = 0 whenever j > Ω(d), since j parts > 1 need j prime factors;
+so j may run to Ω(n) for every divisor, and g(d) = Σ_{j=1}^{Ω(n)} g_j(d).
+Put m = j − i.  Both the weight (n/d)^x and the binomial product factor over
+the primes, so for each m the sum over all d | n is a product of per-prime
+sums, and its d = 1 term is n^x:
+
+    Σ_{d|n} (n/d)^x Π_k C(e_k + m − 1, e_k) = Π_k T_k(m),
+    T_k(m) = Σ_{e=0}^{E_k} C(e + m − 1, e) · p_k^{x(E_k − e)}.
+
+Taking the d = 1 term apart (g(1) = 1),
+
+    kappa(n, x) = n^x + Σ_{m=1}^{Ω} c_m · (Π_k T_k(m) − n^x),
+    c_m = Σ_{j=m}^{Ω} (−1)^{j−m} C(j, m).
+
+That costs O(Ω · Σ E_k) integer operations and lists no divisor.  T_k(m) is
+evaluated by Horner's rule in p_k^x; at x = 0 it is C(E_k + m, E_k).  The
+coefficients c depend only on Ω ≤ log2(n) and are the one cache here.  The
+divisor walk survives only where one value per divisor is the output
+(a_sized, closedforms.B_from_A).  There g of each cofactor n/d > 1, with
+exponents r_k, is MacMahon's sum Σ_m c_m Π_k C(r_k + m − 1, r_k) with the
+same c_m, since j may run to Ω(n).  The definitional recursion and the
+sub-signature enumeration of a are kept in the tests as oracles, and the
+tuple enumeration g_enumerated is a further, independent oracle for g.
+
+All functions are pure; the coefficient cache is a process-local functools
+cache, safe to share across threads under CPython.
 """
 
 from __future__ import annotations
@@ -35,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from math import comb, prod
 from typing import Iterator
 
 # proper_divisors stays importable for perfbench's tracer, which counts calls
@@ -47,60 +74,67 @@ DEFAULT_TUPLE_BUDGET = 1_000_000
 
 
 @cache
-def a_from_signature(exponents: tuple[int, ...]) -> int:
-    """Count of recursive divisors for any n with the given exponent signature.
+def _coefficients(omega: int) -> tuple[int, ...]:
+    """(c_1, ..., c_Ω) with c_m = Σ_{j=m}^{Ω} (−1)^{j−m} C(j, m)."""
+    return tuple(
+        sum((-1) ** (j - m) * comb(j, m) for j in range(m, omega + 1))
+        for m in range(1, omega + 1)
+    )
 
-    The count depends only on the exponents, so divisors are enumerated as
-    exponent vectors and re-keyed by their own signatures.
-    """
-    total = 1
-    for combo in product(*(range(e + 1) for e in exponents)):
-        if combo == exponents:
-            continue
-        sub = tuple(sorted((c for c in combo if c), reverse=True))
-        total += a_from_signature(sub)
+
+def _prime_sum(q: int, e: int, m: int) -> int:
+    """T(m) = Σ_{k=0}^{e} C(k + m − 1, k) · q^(e − k), by Horner's rule in q = p^x."""
+    t = binom = 1
+    for k in range(1, e + 1):
+        binom = binom * (k + m - 1) // k
+        t = t * q + binom
+    return t
+
+
+def _kappa_of(fac: Factorization, x: int) -> int:
+    """kappa(n, x) for n = fac.n from the per-prime sums; no divisor is listed."""
+    pairs = [(p**x, e) for p, e in fac.pairs]
+    n_x = prod(q**e for q, e in pairs)
+    total = n_x
+    for m, c in enumerate(_coefficients(fac.omega), start=1):
+        if x == 0:
+            product = prod(comb(e + m, e) for _, e in pairs)
+        else:
+            product = prod(_prime_sum(q, e, m) for q, e in pairs)
+        total += c * (product - n_x)
     return total
 
 
-@cache
-def _g_from_exponents(exponents: tuple[int, ...]) -> int:
-    """g for any n with these exponents, in any order and zeros allowed.
-
-    Keyed by the raw vector so that each divisor in divisor_lattice costs one
-    lookup rather than a sort into its signature.
-    """
-    signature = tuple(sorted((e for e in exponents if e), reverse=True))
-    return a_from_signature(signature) // 2 if signature else 1
-
-
 def divisor_lattice(fac: Factorization) -> list[tuple[int, int]]:
-    """(d, g(n/d)) for every divisor d of n = fac.n, d = 1 first.
+    """(d, g(n/d)) for every divisor d of n = fac.n, d = 1 first and n last.
 
-    Divisors are built as exponent vectors, each carrying the complementary
-    exponents of its cofactor n/d, so nothing is refactored.
+    Divisors are built as exponent vectors.  With j running to Ω(n) for every
+    divisor, MacMahon's formula gives g(n/d) = Σ_m c_m Π_k C(r_k + m − 1, r_k)
+    for d < n, r_k being the exponents of n/d; so each divisor carries, per
+    prime, the row of those binomials at its cofactor's exponent.  g(1) = 1.
     """
-    entries: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+    omega = fac.omega
+    rows = [tuple(comb(r + j, r) for j in range(omega)) for r in range(fac.max_exponent + 1)]
+    entries: list[tuple[int, tuple[tuple[int, ...], ...]]] = [(1, (_coefficients(omega),))]
     for p, e in fac.pairs:
-        steps = [(p**c, e - c) for c in range(e + 1)]
-        entries = [(d * power, rest + (r,)) for d, rest in entries for power, r in steps]
-    return [(d, _g_from_exponents(rest)) for d, rest in entries]
+        steps = [(p**c, (rows[e - c],)) for c in range(e + 1)]
+        entries = [(d * power, factors + row) for d, factors in entries for power, row in steps]
+    return [(d, sum(map(prod, zip(*factors)))) for d, factors in entries[:-1]] + [(fac.n, 1)]
 
 
 def kappa(n: int, x: int) -> int:
     """Recursive divisor function: n^x plus kappa over proper divisors.
 
-    Evaluated as Σ_{d|n} d^x · g(n/d) over one factorization of n.
+    Evaluated from per-prime sums over one factorization of n.
     """
     if x < 0:
         raise ValueError(f"x must be a nonnegative integer, got {x}")
-    return sum(d**x * count for d, count in divisor_lattice(factorize(n)))
+    return _kappa_of(factorize(n), x)
 
 
 def a(n: int) -> int:
     """Number of recursive divisors of n."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return a_from_signature(factorize(n).signature.exponents)
+    return kappa(n, 0)
 
 
 def b(n: int) -> int:
@@ -109,9 +143,9 @@ def b(n: int) -> int:
 
 
 def g(n: int) -> int:
-    """Number of ordered factorizations of n into integers > 1."""
-    _, count = divisor_lattice(factorize(n))[0]
-    return count
+    """Number of ordered factorizations of n into integers > 1: a(n)/2 for n > 1."""
+    count = a(n)
+    return count // 2 if count > 1 else 1
 
 
 def ordered_factorizations(n: int) -> Iterator[tuple[int, ...]]:
@@ -173,7 +207,7 @@ def a_sized(n: int) -> SizedCountTable:
     table = SizedCountTable(n, dict(sorted(divisor_lattice(fac))))
     if table.count(n) != 1:
         raise AssertionError(f"size table of {n} lost its root entry")
-    want = a_from_signature(fac.signature.exponents)
+    want = _kappa_of(fac, 0)
     if table.total != want:
         raise AssertionError(f"size table of {n} sums to {table.total}, expected {want}")
     return table
@@ -197,15 +231,11 @@ class DivisorProfile:
 def profile(n: int) -> DivisorProfile:
     """Compute all divisor quantities of n from one factorization and check them."""
     fac = factorize(n)
-    lattice = divisor_lattice(fac)
     dv = d_of(fac)
     sv = sigma_of(fac)
-    av = a_from_signature(fac.signature.exponents)
-    bv = sum(d * count for d, count in lattice)
-    gv = lattice[0][1]
-    expected_a = 1 if n == 1 else 2 * gv
-    if av != expected_a:
-        raise AssertionError(f"a({n}) = {av} but ordered factorizations give {gv}")
+    av = _kappa_of(fac, 0)
+    bv = _kappa_of(fac, 1)
+    gv = av // 2 if n > 1 else 1
     if av < dv or bv < sv:
         raise AssertionError(f"recursive counts of {n} fell below the plain divisor ones")
     if av % 2**fac.max_exponent:

@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import sieve
-from .arith import Factorization, factorize
-from .core import a_from_signature, profile
+from .arith import Factorization
+from .core import profile
 
 
 class RecordKind(Flag):
@@ -174,12 +174,9 @@ def _ratio_record_indices(arr: np.ndarray) -> list[int]:
 
 def tau_decompose(n: int) -> tuple[int, int]:
     """Split a(n) as cofactor * 2**tau, tau being the largest exponent of n."""
-    fac = factorize(n)
-    tau = fac.max_exponent
-    count = a_from_signature(fac.signature.exponents)
-    if count % 2**tau:
-        raise AssertionError(f"a({n}) = {count} is not divisible by 2^{tau}")
-    return tau, count >> tau
+    p = profile(n)  # checks that 2**tau divides a(n)
+    tau = p.factorization.max_exponent
+    return tau, p.a >> tau
 
 
 def sieve_records(

@@ -1,4 +1,5 @@
 from functools import cache
+from itertools import product
 
 import pytest
 
@@ -34,6 +35,30 @@ class Definitional:
             for k, c in self.sized(m).items():
                 counts[k] = counts.get(k, 0) + c
         return counts
+
+
+@cache
+def a_from_signature(exponents: tuple[int, ...]) -> int:
+    """Oracle: count of recursive divisors for any n with the given exponent signature.
+
+    The count depends only on the exponents, so divisors are enumerated as
+    exponent vectors and re-keyed by their own signatures.  This walks every
+    sub-signature, exponentially many in the number of primes; recdiv.core
+    evaluates the same count from per-prime sums instead.
+    """
+    total = 1
+    for combo in product(*(range(e + 1) for e in exponents)):
+        if combo == exponents:
+            continue
+        sub = tuple(sorted((c for c in combo if c), reverse=True))
+        total += a_from_signature(sub)
+    return total
+
+
+@pytest.fixture(scope="session")
+def signature_count():
+    """The sub-signature enumeration oracle for a(n), memoized across modules."""
+    return a_from_signature
 
 
 @pytest.fixture(scope="session")

@@ -206,8 +206,8 @@ def test_criterion_03_rsa_stars_as_printed(record_search_1m, definitional):
     the seven unstarred records, nothing more or less, and must equal the
     frozen RSA_RECORDS.  Each of the seven is proved a strict record here by
     routes independent of the sieve: the 96-term reference sums (for n <= 96),
-    the per-n b(m) and B_from_A built from recursive-divisor counts (both
-    walk core.divisor_lattice), and the definitional recursion for b from
+    the per-n b(m) from per-prime sums, B_from_A summing recursive-divisor
+    counts over the divisors of m, and the definitional recursion for b from
     the `definitional` fixture, which shares nothing with recdiv.core.
     """
     got_rsa = record_search_1m.numbers(RecordKind.RSA)

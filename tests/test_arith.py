@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from recdiv import (
     proper_divisors,
     sigma,
 )
+from recdiv import arith
 from recdiv.arith import divisors_of
 
 
@@ -105,3 +108,70 @@ def test_divisors_of_matches_scan():
 def test_is_prime_matches_trial_division(n):
     trial = all(n % p for p in range(2, int(n**0.5) + 1))
     assert is_prime(n) == trial
+
+
+def test_factorize_splits_64_bit_semiprime_quickly():
+    n = 4294967279 * 4294967291  # two primes just below 2^32
+    start = time.perf_counter()
+    fac = factorize(n)
+    assert time.perf_counter() - start < 1.0
+    assert fac.pairs == ((4294967279, 1), (4294967291, 1))
+
+
+@given(
+    st.lists(st.integers(min_value=arith.TRIAL_BOUND, max_value=10**7), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=arith.TRIAL_BOUND),
+)
+@settings(max_examples=100)
+def test_rho_splits_cofactors_past_trial_division(seeds, small):
+    # Cofactors built from primes above TRIAL_BOUND, repeats included, go to rho.
+    primes = [_next_prime(s) for s in seeds]
+    n = small
+    for p in primes:
+        n *= p
+    fac = factorize(n)
+    assert fac.n == n
+    assert all(is_prime(p) for p, _ in fac.pairs)
+    for p in primes:
+        assert dict(fac.pairs)[p] >= primes.count(p)
+
+
+def _next_prime(n):
+    while not all(n % p for p in range(2, int(n**0.5) + 1)):
+        n += 1
+    return n
+
+
+def _strong_probable_prime(n, base):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_primality_bounds_are_strong_pseudoprimes():
+    """Each bound passes the bases it covers and is composite, so no larger bound holds."""
+    witnesses = arith._MR_WITNESSES
+    for k, bound in enumerate(arith._MR_PROVEN_BELOW, start=1):
+        assert all(_strong_probable_prime(bound, w) for w in witnesses[:k]), k
+    # The last bound passes all thirteen bases: is_prime is proven only below it.
+    last = arith._MR_PROVEN_BELOW[-1]
+    assert last == 1287836182261 * 2575672364521
+    assert is_prime(last)
+    for bound in arith._MR_PROVEN_BELOW[:-1]:
+        assert not is_prime(bound)
+        assert len(factorize(bound).pairs) > 1
+
+
+def test_pseudoprime_to_the_first_twelve_bases_is_composite():
+    # The smallest strong pseudoprime to the bases 2..37; a thirteenth base exposes it.
+    n = 318665857834031151167461
+    assert not is_prime(n)
+    assert factorize(n).pairs == ((399165290221, 1), (798330580441, 1))

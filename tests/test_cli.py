@@ -2,7 +2,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from recdiv import golden, records
+from recdiv import arith, golden, records
 
 from recdiv.cli import (
     EXIT_BUDGET,
@@ -184,3 +184,13 @@ def test_internal_check_failure_exit_code(monkeypatch, capsys):
     others = {0, EXIT_IO, 2, EXIT_OVERFLOW, EXIT_MEMORY, EXIT_VERIFY, EXIT_BUDGET}
     assert EXIT_INTERNAL not in others
     assert err == "error: internal check failed: a(12): sieve and recursion disagree\n"
+
+
+def test_factorization_budget_exit(monkeypatch, capsys):
+    # Two primes near 2^32 need about 10^5 rho steps; 64 steps cannot split them.
+    monkeypatch.setattr(arith, "RHO_BUDGET", 64)
+    n = 4294967279 * 4294967291
+    code, out, err = run(capsys, "eval", str(n))
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == f"error: factoring {n} exceeded the Pollard-Brent budget of 64 steps\n"

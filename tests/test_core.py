@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,9 @@ from recdiv import (
     profile,
 )
 from recdiv import closedforms, core, records
-from recdiv.core import a_from_signature
+from recdiv.arith import divisors, factorize
 from recdiv.golden import A_FIRST_96, B_FIRST_96
+from recdiv.sieve import a_array, b_array
 
 
 def test_kappa_base_cases():
@@ -68,6 +70,40 @@ def test_kappa_matches_definition(x, limit, definitional):
         assert kappa(n, x) == definitional.kappa(n, x), f"n={n}"
 
 
+def test_count_and_sum_match_sieve_to_1e5():
+    """The per-prime form against the divisor-sum sieve, n by n."""
+    limit = 10**5
+    counts = a_array(limit).tolist()
+    sums = b_array(limit).tolist()
+    for n in range(1, limit + 1):
+        assert (a(n), b(n)) == (counts[n], sums[n]), f"n={n}"
+
+
+HARD_N = (720720, 963761198400, 2**10 * 3**6 * 5**4 * 7**2 * 11 * 13 * 17)
+
+
+@pytest.mark.parametrize("n", HARD_N)
+def test_kappa_matches_lattice_walk_oracle(n, signature_count):
+    """kappa(n, x) = Σ_{d|n} d^x g(n/d), g from the sub-signature enumeration."""
+
+    def g_oracle(m):
+        return 1 if m == 1 else signature_count(factorize(m).signature.exponents) // 2
+
+    cofactor_counts = [(d, g_oracle(n // d)) for d in divisors(n)]
+    for x in range(4):
+        assert kappa(n, x) == sum(d**x * count for d, count in cofactor_counts), f"x={x}"
+    assert g(n) == g_oracle(n)
+
+
+def test_sum_of_large_smooth_n_is_fast():
+    # 2^8·3^4·5^2·7^2·11·…·37 has 103680 divisors; a divisor walk takes seconds.
+    n = 897612484786617600
+    start = time.perf_counter()
+    value = b(n)
+    assert time.perf_counter() - start < 0.5
+    assert value == profile(n).b > n
+
+
 def test_g_matches_definition(definitional):
     for n in range(1, 3001):
         assert g(n) == definitional.g(n), f"n={n}"
@@ -86,7 +122,7 @@ def test_evaluators_factor_n_once(monkeypatch):
         seen.append(n)
         return real(n, *args)
 
-    for module in (core, closedforms, records):
+    for module in (core, closedforms):
         monkeypatch.setattr(module, "factorize", counting)
     n = 720720
     evaluators = (
@@ -199,14 +235,14 @@ def signature_and_prime_sets(draw):
 
 @given(signature_and_prime_sets())
 @settings(max_examples=100)
-def test_count_depends_only_on_signature(case):
+def test_count_depends_only_on_signature(signature_count, case):
     exponents, primes_one, primes_two = case
     n = 1
     m = 1
     for p, q, e in zip(primes_one, primes_two, exponents):
         n *= p**e
         m *= q**e
-    assert a(n) == a(m) == a_from_signature(exponents)
+    assert a(n) == a(m) == signature_count(exponents)
 
 
 @given(st.integers(min_value=2, max_value=5000))

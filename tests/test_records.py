@@ -172,7 +172,7 @@ def test_record_search_factors_each_entry_once(monkeypatch):
         seen.append(n)
         return real(n)
 
-    for module in (arith, core, records):
+    for module in (arith, core):
         monkeypatch.setattr(module, "factorize", counting)
     table = sieve_records(10**5)
     assert sorted(seen) == [e.n for e in table.entries]

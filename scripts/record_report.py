@@ -10,13 +10,13 @@ Usage: python scripts/record_report.py [bound]
 
 import sys
 
-from recdiv import RecordKind, sieve_records
+from recdiv import RecordKind, search_records
 from recdiv.formats import rational_str
 
 
 def main() -> None:
     bound = int(sys.argv[1]) if len(sys.argv) > 1 else 10**6
-    table = sieve_records(bound)
+    table = search_records(bound)
     print(f"records up to {bound}")
     print(f"{'n':>10}  {'factorization':<24} {'a(n)':<18} {'kinds'}")
     for e in table.entries:

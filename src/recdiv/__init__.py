@@ -43,6 +43,7 @@ from .records import (
     RecordKind,
     RecordTable,
     classify,
+    search_records,
     sieve_records,
     tau_decompose,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "ordered_factorizations",
     "profile",
     "proper_divisors",
+    "search_records",
     "self_overlap",
     "sieve_records",
     "sigma",

@@ -102,7 +102,12 @@ class ExponentSignature:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Canonical prime-power decomposition; an empty pair list encodes n = 1."""
+    """Canonical prime-power decomposition; an empty pair list encodes n = 1.
+
+    The constructor validates the pairs.  factorize and the record search's
+    candidate list prove their primes as they find them, and build their
+    results through _proven without that check.
+    """
 
     pairs: tuple[tuple[int, int], ...]
 
@@ -115,6 +120,13 @@ class Factorization:
                 raise ValueError(f"exponent must be >= 1 in {p}^{e}")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
+
+    @classmethod
+    def _proven(cls, pairs: tuple[tuple[int, int], ...]) -> "Factorization":
+        """A Factorization of ascending pairs whose primes the caller has proven."""
+        fac = object.__new__(cls)
+        object.__setattr__(fac, "pairs", pairs)
+        return fac
 
     @property
     def n(self) -> int:
@@ -208,7 +220,10 @@ def factorize(n: int) -> Factorization:
 
     Trial division over a mod-30 wheel takes the primes below TRIAL_BOUND;
     Pollard-Brent rho splits any composite cofactor left, within RHO_BUDGET
-    steps, and raises BudgetError past them.
+    steps, and raises BudgetError past them.  Every prime is proven on the
+    way: trial-division hits, a final cofactor below p^2 after every prime
+    below p is removed, and rho parts that pass is_prime.  So the result
+    skips Factorization's validation.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -236,7 +251,7 @@ def factorize(n: int) -> Factorization:
         pairs += _rho_split(rest, n)
     elif rest > 1:
         pairs.append((rest, 1))
-    return Factorization(tuple(pairs))
+    return Factorization._proven(tuple(pairs))
 
 
 def divisors(n: int) -> list[int]:

@@ -59,7 +59,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_records(args: argparse.Namespace) -> int:
     kinds = records.parse_kinds(args.kinds)
-    table = records.sieve_records(args.max, kinds, max_memory=args.max_memory)
+    table = records.search_records(args.max, kinds)
     text = formats.format_records(table, args.format)
     _write_output(text, args.output)
     return EXIT_OK
@@ -120,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_records.add_argument("max", type=_positive_int)
     p_records.add_argument("--format", type=_format_arg, default=formats.ExportFormat.CSV)
     p_records.add_argument("-o", "--output", default=None)
-    p_records.add_argument("--max-memory", type=int, default=None, help="sieve budget in bytes")
     p_records.set_defaults(func=cmd_records)
 
     p_tree = sub.add_parser("tree", help="render the divisor tree of n as SVG")

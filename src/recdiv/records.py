@@ -1,10 +1,51 @@
-"""Sieve-driven search for record-setting integers.
+"""Search for record-setting integers.
 
 Four kinds of records are tracked: counts of recursive divisors (RHC) and
 their classical analogue d(n) (HC), plus the normalized sums b(n)/n (RSA)
-and sigma(n)/n (SA).  A record is strict: ties never qualify.  Ratio kinds
-are decided by exact cross-multiplied integer comparison; a conservative
-float prescan only narrows the candidate set, never the decision.
+and sigma(n)/n (SA).  A record is strict: n sets one when its value beats
+that of every m < n, so ties never qualify.  Ratio kinds are decided by
+exact cross-multiplied integer comparison.
+
+search_records, the route the CLI takes, evaluates only the candidates: the
+integers whose exponents do not increase along the consecutive primes
+2, 3, 5, ... (the Hardy-Ramanujan integers, OEIS A025487).  Every strict
+record-setter of each kind is a candidate.  All four quantities are sums
+over the divisors of n,
+
+    f(n) = Σ_{d|n} w(d) / d^x,
+
+with x = 0 for the counts and x = 1 for the ratios, and a weight w that
+depends only on the exponent signature of d: w = 1 for d and sigma(n)/n,
+w = g, the ordered-factorization count, for a = 1 ∗ g and for
+b(n)/n = Σ_{d|n} g(d)/d (b = id ∗ g, see core).  Let n be no candidate.
+Then one of two moves gives some n' < n with a bijection from the divisors
+of n onto those of n' that keeps w and never raises d, so f(n') ≥ f(n) and
+n is no strict record:
+
+- Some prime q divides n while a smaller prime p does not.  Replace q by p
+  in n and in every divisor.
+- Two primes p < q divide n with exponents E < F.  Let n' swap the two
+  exponents.  A divisor p^i q^j r of n (r prime to pq) with j ≤ E is also
+  one of n' and maps to itself.  One with j > E ≥ i maps to p^j q^i r,
+  which divides n', has the same signature, and is smaller by (q/p)^(j−i).
+
+For a and d this is plain: they depend only on the signature, so the
+sorted rearrangement of n ties it.  For sigma(n)/n it is the argument of
+Alaoglu and Erdős (1944) for superabundant numbers.
+
+Records among the candidates are records among all n.  If a candidate n
+beat every smaller candidate but some m < n had f(m) ≥ f(n), the least m
+reaching max_{m<n} f(m) would set a strict record, so it would be a
+candidate below n with a value not below f(n).  The search therefore scans
+the candidates ascending with the same strict comparison as a scan of
+1..bound.  It lists them depth-first, taking each next prime when a branch
+first needs it, and refuses with BudgetError once they outnumber
+SEARCH_BUDGET, before any value is evaluated.  There are 289 candidates up
+to 10^6, 4,357 up to 10^12 and 32,749 up to 10^18.
+
+sieve_records, the oracle that tests and `verify records` compare against,
+sieves all four quantities over 1..bound and scans every n.  A conservative
+float prescan narrows its ratio scans, never their decision.
 """
 
 from __future__ import annotations
@@ -17,8 +58,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import sieve
-from .arith import Factorization
-from .core import profile
+from .arith import Factorization, d_of, is_prime, sigma_of
+from .core import DivisorProfile, _kappa_of, profile
+from .errors import BudgetError
+
+# Most candidates search_records lists before it refuses a bound.  There are
+# 32,749 up to 10^18 (about 11 s with Python 3.11 on one core of a 2-CPU
+# VM), 44,070 up to 10^19 and 58,781 up to 10^20, which is refused.
+SEARCH_BUDGET = 50_000
 
 
 class RecordKind(Flag):
@@ -152,24 +199,117 @@ def _int_record_indices(arr: np.ndarray) -> list[int]:
 def _ratio_record_indices(arr: np.ndarray) -> list[int]:
     # Conservative prescan: float error is ~1e-15 relative, so no true record
     # can fall below the shifted running max by a 1e-9 factor.  The running
-    # max carries across blocks, so the candidates are those of one full scan.
-    candidates: list[int] = []
+    # max carries across blocks, so the prescan is that of one full scan.
+    prescan: list[int] = []
     best_ratio = 0.0
     for start in range(1, len(arr), _SCAN_BLOCK):
         values = arr[start : start + _SCAN_BLOCK]
         ratios = values / np.arange(start, start + len(values), dtype=np.float64)
         running = np.maximum(np.maximum.accumulate(ratios), best_ratio)
         prev_max = np.concatenate(([best_ratio], running[:-1]))
-        candidates.extend((np.nonzero(ratios >= prev_max * (1 - 1e-9))[0] + start).tolist())
+        prescan.extend((np.nonzero(ratios >= prev_max * (1 - 1e-9))[0] + start).tolist())
         best_ratio = float(running[-1])
     out: list[int] = []
     best_num, best_den = 0, 1
-    for n in candidates:
+    for n in prescan:
         value = int(arr[n])
         if value * best_den > best_num * n:
             out.append(n)
             best_num, best_den = value, n
     return out
+
+
+def _entry(p: DivisorProfile, kinds: RecordKind) -> RecordEntry:
+    tau = p.factorization.max_exponent
+    return RecordEntry(
+        n=p.n,
+        factorization=p.factorization,
+        kinds=kinds,
+        a=p.a,
+        b=p.b,
+        d=p.d,
+        sigma=p.sigma,
+        tau=tau,
+        tau_cofactor=p.a >> tau,
+    )
+
+
+def candidates(bound: int) -> list[Factorization]:
+    """Integers up to bound with non-increasing exponents on 2, 3, 5, ..., ascending.
+
+    Depth-first: each node extends its prefix by the next prime, taken when
+    a branch first reaches it, to an exponent no larger than the last one.
+    Raises BudgetError once more than SEARCH_BUDGET are found.
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    primes = [2]
+    found: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    stack = [(1, (), bound.bit_length())]
+    while stack:
+        n, pairs, cap = stack.pop()
+        found.append((n, pairs))
+        if len(found) > SEARCH_BUDGET:
+            raise BudgetError(
+                f"record search to {bound} exceeded the budget of {SEARCH_BUDGET} candidates"
+            )
+        if len(pairs) == len(primes):
+            q = primes[-1] + 1
+            while not is_prime(q):
+                q += 1
+            primes.append(q)
+        p = primes[len(pairs)]
+        m = n
+        for e in range(1, cap + 1):
+            m *= p
+            if m > bound:
+                break
+            stack.append((m, pairs + ((p, e),), e))
+    found.sort()
+    return [Factorization._proven(pairs) for _, pairs in found]
+
+
+# Each kind's value on a candidate, and whether it is compared as value/n.
+_VALUES = {
+    RecordKind.RHC: (lambda fac: _kappa_of(fac, 0), False),
+    RecordKind.RSA: (lambda fac: _kappa_of(fac, 1), True),
+    RecordKind.HC: (d_of, False),
+    RecordKind.SA: (sigma_of, True),
+}
+
+
+def search_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
+    """Find every strict record-setter up to bound among the candidates.
+
+    See the module docstring for why no other n can set a record.  Any
+    bound is admitted; the work is bounded by SEARCH_BUDGET candidates.
+    """
+    if not kinds:
+        raise ValueError("no record kinds requested")
+    facs = candidates(bound)
+    flags: dict[int, RecordKind] = {}
+    found: dict[int, Factorization] = {}
+    for kind in _KIND_ORDER:
+        if kind not in kinds:
+            continue
+        value_of, ratio = _VALUES[kind]
+        best_num, best_den = 0, 1
+        for fac in facs:
+            value, n = value_of(fac), fac.n
+            den = n if ratio else 1
+            if value * best_den > best_num * den:
+                best_num, best_den = value, den
+                flags[n] = flags.get(n, RecordKind(0)) | kind
+                found[n] = fac
+    entries = []
+    for n in sorted(flags):
+        p = profile(n)
+        if p.factorization != found[n]:
+            raise AssertionError(f"factorization of {n}: search and factorize disagree")
+        entries.append(_entry(p, flags[n]))
+    table = RecordTable(bound=bound, kinds=kinds, entries=tuple(entries))
+    table.check()
+    return table
 
 
 def tau_decompose(n: int) -> tuple[int, int]:
@@ -182,7 +322,10 @@ def tau_decompose(n: int) -> tuple[int, int]:
 def sieve_records(
     bound: int, kinds: RecordKind = ALL_KINDS, *, max_memory: int | None = None
 ) -> RecordTable:
-    """Find every strict record-setter up to bound for the requested kinds."""
+    """Oracle: every strict record-setter up to bound, by sieving and scanning 1..bound.
+
+    The sieves are int64 arrays, so the bound is held to sieve.check_budget.
+    """
     if not kinds:
         raise ValueError("no record kinds requested")
     needed = {
@@ -222,20 +365,7 @@ def sieve_records(
             value, route = per_n[kind]
             if value != int(arr[n]):
                 raise AssertionError(f"{needed[kind]}({n}): sieve and {route} disagree")
-        tau = p.factorization.max_exponent
-        entries.append(
-            RecordEntry(
-                n=n,
-                factorization=p.factorization,
-                kinds=flags[n],
-                a=p.a,
-                b=p.b,
-                d=p.d,
-                sigma=p.sigma,
-                tau=tau,
-                tau_cofactor=p.a >> tau,
-            )
-        )
+        entries.append(_entry(p, flags[n]))
     table = RecordTable(bound=bound, kinds=kinds, entries=tuple(entries))
     table.check()
     return table

@@ -119,7 +119,8 @@ def verify_lemmas(limit: int = 5000, max_memory: int | None = None) -> SuiteRepo
     enum_limit = min(limit, 2000)
     for n in range(2, enum_limit + 1):
         tuples = g_enumerated(n)
-        doubling.tally(a(n) == 2 * tuples, f"n={n}: a={a(n)} vs 2*{tuples}")
+        count = a(n)
+        doubling.tally(count == 2 * tuples, f"n={n}: a={count} vs 2*{tuples}")
     doubling.tally(g_enumerated(12) == 8, "enumeration of 12 must find 8 tuples")
     return SuiteReport("lemmas", [halves, scaled, doubling])
 
@@ -186,9 +187,9 @@ def verify_closedforms(limit: int = 10_000, max_memory: int | None = None) -> Su
 def verify_records(
     limit: int = golden.RECORDS_BOUND, max_memory: int | None = None
 ) -> SuiteReport:
-    """Record search against the frozen reference lists."""
+    """Record search against the frozen reference lists and the sieve oracle."""
     _within_reference("records", limit, golden.RECORDS_BOUND)
-    table = records.sieve_records(limit, max_memory=max_memory)
+    table = records.search_records(limit)
     rhc = CheckResult("count records match reference (n, cofactor, tau)")
     want_rhc = [(n, c, t) for n, c, t in golden.RHC_RECORDS if n <= limit]
     got_rhc = [
@@ -229,7 +230,14 @@ def verify_records(
         if records.RecordKind.RHC in e.kinds:
             exps = [x for _, x in e.factorization.pairs]
             shape.tally(exps == sorted(exps, reverse=True), f"n={e.n}: exponents {exps}")
-    return SuiteReport("records", [rhc, rsa, hc, sa, exception, shape])
+
+    oracle = CheckResult("record search matches the sieve oracle")
+    sieved = records.sieve_records(limit, max_memory=max_memory)
+    oracle.tally(
+        table == sieved,
+        f"tables differ: {len(table.entries)} entries searched, {len(sieved.entries)} sieved",
+    )
+    return SuiteReport("records", [rhc, rsa, hc, sa, exception, shape, oracle])
 
 
 def verify_trees(limit: int = 500, max_memory: int | None = None) -> SuiteReport:

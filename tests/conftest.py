@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from recdiv import proper_divisors, sieve_records
+from recdiv import proper_divisors, search_records
 
 
 class Definitional:
@@ -70,4 +70,4 @@ def definitional():
 @pytest.fixture(scope="session")
 def record_search_1m():
     """Full record search to one million, shared across test modules."""
-    return sieve_records(10**6)
+    return search_records(10**6)

@@ -57,6 +57,7 @@ TRANSCRIPTS = {
         "PASS divisor-sum ratio records match reference list (1 checked)",
         "PASS every ratio record is a count record, save the known one (46 checked)",
         "PASS count records have non-increasing exponents (66 checked)",
+        "PASS record search matches the sieve oracle (1 checked)",
         "PASS suite records",
     ],
     "tables": [
@@ -202,10 +203,11 @@ def _is_strict_ratio_record(n: int, sums) -> bool:
 def test_criterion_03_rsa_stars_as_printed(record_search_1m, definitional):
     """The starred ratio-record column, checked exactly against the strict rule.
 
-    The sieve's ratio records to one million must be the printed stars plus
-    the seven unstarred records, nothing more or less, and must equal the
-    frozen RSA_RECORDS.  Each of the seven is proved a strict record here by
-    routes independent of the sieve: the 96-term reference sums (for n <= 96),
+    The record search's ratio records to one million must be the printed
+    stars plus the seven unstarred records, nothing more or less, and must
+    equal the frozen RSA_RECORDS.  Each of the seven is proved a strict record
+    here against every m < n, by routes independent of the sieve and of the
+    search's candidate list: the 96-term reference sums (for n <= 96),
     the per-n b(m) from per-prime sums, B_from_A summing recursive-divisor
     counts over the divisors of m, and the definitional recursion for b from
     the `definitional` fixture, which shares nothing with recdiv.core.

@@ -45,6 +45,26 @@ def test_factorization_validates_invariants():
         Factorization(((4, 1),))  # composite entry
 
 
+def test_factorize_skips_validation_the_constructor_keeps(monkeypatch):
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    assert factorize(5040 * 997 * 1009).pairs == (
+        (2, 4), (3, 2), (5, 1), (7, 1), (997, 1), (1009, 1)
+    )
+    assert calls == []
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        Factorization(((4, 1),))
+    assert calls == [4]
+
+
+@given(st.integers(min_value=1, max_value=10**18))
+@settings(max_examples=200)
+def test_factorize_output_passes_validation(n):
+    fac = factorize(n)
+    assert Factorization(fac.pairs) == fac
+
+
 def test_signature_sorted_descending():
     assert factorize(12).signature == ExponentSignature((2, 1))
     assert factorize(5040).signature.exponents == (4, 2, 1, 1)

@@ -178,7 +178,7 @@ def test_internal_check_failure_exit_code(monkeypatch, capsys):
     def disagree(*args, **kwargs):
         raise AssertionError("a(12): sieve and recursion disagree")
 
-    monkeypatch.setattr(records, "sieve_records", disagree)
+    monkeypatch.setattr(records, "search_records", disagree)
     code, _, err = run(capsys, "records", "all", "100")
     assert code == EXIT_INTERNAL
     others = {0, EXIT_IO, 2, EXIT_OVERFLOW, EXIT_MEMORY, EXIT_VERIFY, EXIT_BUDGET}
@@ -194,3 +194,18 @@ def test_factorization_budget_exit(monkeypatch, capsys):
     assert code == EXIT_BUDGET
     assert out == ""
     assert err == f"error: factoring {n} exceeded the Pollard-Brent budget of 64 steps\n"
+
+
+def test_records_budget_exit(monkeypatch, capsys):
+    # 39 candidates lie below 1000.
+    monkeypatch.setattr(records, "SEARCH_BUDGET", 20)
+    code, out, err = run(capsys, "records", "all", "1000")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == "error: record search to 1000 exceeded the budget of 20 candidates\n"
+
+
+def test_records_takes_no_memory_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["records", "all", "100", "--max-memory", "100"])
+    assert exc.value.code == EXIT_USAGE

@@ -1,44 +1,60 @@
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from math import prod
+from operator import or_
 
 import pytest
 
 from recdiv import (
     ALL_KINDS,
+    BudgetError,
     MemoryGuardError,
     RecordKind,
+    a_sized,
     classify,
+    factorize,
+    search_records,
     sieve_records,
     tau_decompose,
 )
-from recdiv import arith, core, records, sieve
-from recdiv.records import parse_kinds
+from recdiv import arith, closedforms, core, records, sieve
+from recdiv.formats import ExportFormat, format_records
+from recdiv.records import RecordTable, candidates, parse_kinds
+
+SINGLE_KINDS = (RecordKind.RHC, RecordKind.RSA, RecordKind.HC, RecordKind.SA)
+KIND_SUBSETS = [
+    reduce(or_, subset) for size in range(1, 5) for subset in combinations(SINGLE_KINDS, size)
+]
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def test_count_records_to_ten():
-    table = sieve_records(10, RecordKind.RHC)
+    table = search_records(10, RecordKind.RHC)
     assert table.numbers(RecordKind.RHC) == [1, 2, 4, 6, 8]
 
 
 def test_classical_count_records_to_ten():
-    table = sieve_records(10, RecordKind.HC)
+    table = search_records(10, RecordKind.HC)
     assert table.numbers(RecordKind.HC) == [1, 2, 4, 6]
 
 
 def test_ratio_records_to_fifty():
     # 8 qualifies: b(8)/8 = 5/2 strictly beats every earlier ratio (the
     # previous maximum is b(6)/6 = 7/3).
-    table = sieve_records(50, RecordKind.RSA)
+    table = search_records(50, RecordKind.RSA)
     assert table.numbers(RecordKind.RSA) == [1, 2, 4, 6, 8, 12, 24, 36, 48]
 
 
 def test_classical_ratio_records_to_ten():
-    table = sieve_records(10, RecordKind.SA)
+    table = search_records(10, RecordKind.SA)
     assert table.numbers(RecordKind.SA) == [1, 2, 4, 6]
 
 
 def test_bound_one_single_entry():
-    table = sieve_records(1)
+    table = search_records(1)
     assert len(table.entries) == 1
     entry = table.entries[0]
     assert entry.n == 1
@@ -46,7 +62,7 @@ def test_bound_one_single_entry():
 
 
 def test_entry_values_and_ratios():
-    table = sieve_records(100)
+    table = search_records(100)
     entry = table.entry(96)
     assert entry is not None
     assert (entry.a, entry.b) == (224, 768)
@@ -71,7 +87,7 @@ def test_classify_the_exceptional_ratio_record(record_search_1m):
 
 
 def test_classify_rejects_out_of_range():
-    table = sieve_records(100)
+    table = search_records(100)
     with pytest.raises(ValueError):
         classify(101, table)
     with pytest.raises(ValueError):
@@ -174,5 +190,89 @@ def test_record_search_factors_each_entry_once(monkeypatch):
 
     for module in (arith, core):
         monkeypatch.setattr(module, "factorize", counting)
-    table = sieve_records(10**5)
-    assert sorted(seen) == [e.n for e in table.entries]
+    for search in (search_records, sieve_records):
+        seen.clear()
+        table = search(10**5)
+        assert sorted(seen) == [e.n for e in table.entries], search.__name__
+
+
+def _outputs(table):
+    """format_records of a table in every format that admits it."""
+    single = len(records.kind_names(table.kinds)) == 1
+    return {
+        fmt: format_records(table, fmt)
+        for fmt in ExportFormat
+        if single or fmt is not ExportFormat.BFILE
+    }
+
+
+@pytest.mark.parametrize("kinds", KIND_SUBSETS, ids=lambda k: "+".join(records.kind_names(k)))
+def test_search_output_matches_sieve_oracle_to_200(kinds):
+    for bound in range(1, 201):
+        assert _outputs(search_records(bound, kinds)) == _outputs(
+            sieve_records(bound, kinds)
+        ), f"bound={bound}"
+
+
+@pytest.mark.parametrize("kinds", KIND_SUBSETS, ids=lambda k: "+".join(records.kind_names(k)))
+def test_search_output_matches_sieve_oracle_at_1e6(kinds):
+    assert _outputs(search_records(10**6, kinds)) == _outputs(sieve_records(10**6, kinds))
+
+
+def _restricted(table, kinds):
+    """The table a search for `kinds` alone gives: each kind's records do not depend on the others."""
+    entries = tuple(replace(e, kinds=e.kinds & kinds) for e in table.entries if e.kinds & kinds)
+    return RecordTable(bound=table.bound, kinds=kinds, entries=entries)
+
+
+def test_search_output_matches_sieve_oracle_at_1e7():
+    # One sieve of all four kinds (320 MB of int64 tables); the subsets are
+    # read off it, since each kind's records are found independently.
+    oracle = sieve_records(10**7)
+    for kinds in KIND_SUBSETS:
+        want = _restricted(oracle, kinds)
+        assert _outputs(search_records(10**7, kinds)) == _outputs(want), records.kind_names(kinds)
+
+
+def _is_candidate(n):
+    pairs = factorize(n).pairs
+    primes = [p for p, _ in pairs]
+    exps = [e for _, e in pairs]
+    return primes == list(FIRST_PRIMES[: len(pairs)]) and exps == sorted(exps, reverse=True)
+
+
+def test_candidates_are_the_non_increasing_exponent_integers():
+    facs = candidates(10**4)
+    assert [f.n for f in facs] == [n for n in range(1, 10**4 + 1) if _is_candidate(n)]
+    assert all(f == factorize(f.n) for f in facs)
+
+
+@pytest.mark.parametrize("bound, count", [(10**6, 289), (10**7, 492), (10**12, 4357)])
+def test_candidate_counts(bound, count):
+    assert len(candidates(bound)) == count
+
+
+def test_search_at_1e12_matches_the_lattice_walk():
+    table = search_records(10**12)
+    assert [len(table.numbers(k)) for k in SINGLE_KINDS] == [189, 123, 95, 66]
+    for e in table.entries:
+        assert e.a == a_sized(e.n).total, e.n
+        assert e.b_ratio == closedforms.B_from_A(e.n), e.n
+
+
+def test_candidates_past_the_primorial_of_fifteen_primes(monkeypatch):
+    # The last of the 51,148 candidates up to the product of the first 16
+    # primes is that product, so the search must generate the 16th prime, 53.
+    bound = prod(FIRST_PRIMES)
+    monkeypatch.setattr(records, "SEARCH_BUDGET", 60_000)
+    facs = candidates(bound)
+    assert len(facs) == 51_148
+    assert facs[-1].pairs == tuple((p, 1) for p in FIRST_PRIMES)
+    assert all(_is_candidate(f.n) for f in facs[-100:])
+
+
+def test_search_budget_is_checked_before_any_evaluation(monkeypatch):
+    monkeypatch.setattr(records, "SEARCH_BUDGET", 10)
+    monkeypatch.setattr(records, "_VALUES", {})  # any evaluation would fail
+    with pytest.raises(BudgetError, match="^record search to 100 exceeded the budget of 10 "):
+        search_records(100)

@@ -6,7 +6,6 @@ and divisor-tree geometry with SVG rendering.
 """
 
 from .arith import (
-    ExponentSignature,
     Factorization,
     d,
     divisors,
@@ -67,7 +66,6 @@ __all__ = [
     "BudgetError",
     "DivisorProfile",
     "DivisorTreeLayout",
-    "ExponentSignature",
     "Factorization",
     "MemoryGuardError",
     "PlacedSquare",

@@ -79,28 +79,6 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class ExponentSignature:
-    """Multiset of factorization exponents, sorted descending.
-
-    Two integers with equal signatures have the same number of recursive
-    divisors, which makes this the memoization key for that count.
-    """
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(e < 1 for e in self.exponents):
-            raise ValueError(f"exponents must be >= 1: {self.exponents}")
-        if list(self.exponents) != sorted(self.exponents, reverse=True):
-            raise ValueError(f"exponents must be sorted descending: {self.exponents}")
-
-    @property
-    def omega(self) -> int:
-        """Number of prime factors counted with multiplicity."""
-        return sum(self.exponents)
-
-
-@dataclass(frozen=True)
 class Factorization:
     """Canonical prime-power decomposition; an empty pair list encodes n = 1.
 
@@ -134,10 +112,6 @@ class Factorization:
         for p, e in self.pairs:
             value *= p**e
         return value
-
-    @property
-    def signature(self) -> ExponentSignature:
-        return ExponentSignature(tuple(sorted((e for _, e in self.pairs), reverse=True)))
 
     @property
     def max_exponent(self) -> int:

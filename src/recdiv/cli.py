@@ -82,7 +82,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = verify.run_suite(args.suite, args.max, max_memory=args.max_memory)
+    report = verify.run_suite(args.suite, args.max)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -140,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a cross-check suite")
     p_verify.add_argument("suite", choices=sorted(verify.SUITES))
     p_verify.add_argument("max", nargs="?", type=_positive_int, default=None)
-    p_verify.add_argument("--max-memory", type=int, default=None, help="sieve budget in bytes")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

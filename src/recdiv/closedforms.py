@@ -45,6 +45,8 @@ class PrimePowerShape:
 
     def normalized(self) -> PrimePowerShape:
         """Drop zero exponents; a zero-exponent prime contributes nothing."""
+        if all(e > 0 for _, e in self.pairs):
+            return self
         return PrimePowerShape(tuple((p, e) for p, e in self.pairs if e > 0))
 
     @property

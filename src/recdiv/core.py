@@ -70,7 +70,8 @@ from typing import Iterator
 from .arith import Factorization, d_of, divisors, factorize, proper_divisors, sigma_of  # noqa: F401
 from .errors import BudgetError
 
-DEFAULT_TUPLE_BUDGET = 1_000_000
+# Most tuples the g_enumerated oracle walks before it refuses n with BudgetError.
+TUPLE_BUDGET = 1_000_000
 
 
 @cache
@@ -163,19 +164,19 @@ def ordered_factorizations(n: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def g_enumerated(n: int, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
+def g_enumerated(n: int) -> int:
     """Count ordered factorizations by explicit enumeration.
 
-    Walks every tuple, so the cost is g(n) itself; refuses past `budget`.
+    Walks every tuple, so the cost is g(n) itself; refuses past TUPLE_BUDGET.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     count = 0
     for _ in ordered_factorizations(n):
         count += 1
-        if count > budget:
+        if count > TUPLE_BUDGET:
             raise BudgetError(
-                f"ordered factorization enumeration for {n} exceeded budget {budget}"
+                f"ordered factorization enumeration for {n} exceeded budget {TUPLE_BUDGET}"
             )
     return count
 

@@ -44,8 +44,8 @@ SEARCH_BUDGET, before any value is evaluated.  There are 289 candidates up
 to 10^6, 4,357 up to 10^12 and 32,749 up to 10^18.
 
 sieve_records, the oracle that tests and `verify records` compare against,
-sieves all four quantities over 1..bound and scans every n.  A conservative
-float prescan narrows its ratio scans, never their decision.
+sieves the requested quantities over 1..bound and scans every n.  A
+conservative float prescan narrows every scan, never its decision.
 """
 
 from __future__ import annotations
@@ -69,18 +69,31 @@ SEARCH_BUDGET = 50_000
 
 
 class RecordKind(Flag):
-    RHC = auto()  # record count of recursive divisors
-    RSA = auto()  # record b(n)/n
-    HC = auto()  # record divisor count
-    SA = auto()  # record sigma(n)/n
+    RHC = auto()
+    RSA = auto()
+    HC = auto()
+    SA = auto()
 
 
 ALL_KINDS = RecordKind.RHC | RecordKind.RSA | RecordKind.HC | RecordKind.SA
-_KIND_ORDER = (RecordKind.RHC, RecordKind.RSA, RecordKind.HC, RecordKind.SA)
+
+# What each kind ranks: the quantity's name, which is both the
+# DivisorProfile/RecordEntry field and the sieve table; whether it is ranked
+# as value/n; and its value on a known factorization.
+_KINDS = {
+    RecordKind.RHC: ("a", False, lambda fac: _kappa_of(fac, 0)),
+    RecordKind.RSA: ("b", True, lambda fac: _kappa_of(fac, 1)),
+    RecordKind.HC: ("d", False, d_of),
+    RecordKind.SA: ("sigma", True, sigma_of),
+}
+
+
+def _single(kinds: RecordKind) -> list[RecordKind]:
+    return [k for k in RecordKind if k in kinds]
 
 
 def kind_names(kinds: RecordKind) -> list[str]:
-    return [k.name for k in _KIND_ORDER if k in kinds]
+    return [k.name for k in _single(kinds)]
 
 
 def parse_kinds(text: str) -> RecordKind:
@@ -125,15 +138,11 @@ class RecordEntry:
 
     def record_value(self, kind: RecordKind) -> int | Fraction:
         """The quantity this kind sets records in."""
-        if kind == RecordKind.RHC:
-            return self.a
-        if kind == RecordKind.HC:
-            return self.d
-        if kind == RecordKind.RSA:
-            return self.b_ratio
-        if kind == RecordKind.SA:
-            return self.sigma_ratio
-        raise ValueError(f"record_value needs a single kind, got {kind}")
+        if kind not in _KINDS:
+            raise ValueError(f"record_value needs a single kind, got {kind}")
+        name, ratio, _ = _KINDS[kind]
+        value = getattr(self, name)
+        return Fraction(value, self.n) if ratio else value
 
 
 @dataclass(frozen=True)
@@ -160,9 +169,7 @@ class RecordTable:
 
     def check(self) -> None:
         """Internal consistency: strict growth per kind, n=1 first, RHC shape."""
-        for kind in _KIND_ORDER:
-            if kind not in self.kinds:
-                continue
+        for kind in _single(self.kinds):
             chain = [e for e in self.entries if kind in e.kinds]
             if not chain or chain[0].n != 1:
                 raise AssertionError(f"{kind.name} records must start at n=1")
@@ -184,38 +191,28 @@ class RecordTable:
 _SCAN_BLOCK = 1 << 16
 
 
-def _int_record_indices(arr: np.ndarray) -> list[int]:
-    out: list[int] = []
-    best = 0
-    for start in range(1, len(arr), _SCAN_BLOCK):
-        values = arr[start : start + _SCAN_BLOCK]
-        running = np.maximum(np.maximum.accumulate(values), best)
-        prev_max = np.concatenate(([best], running[:-1]))
-        out.extend((np.nonzero(values > prev_max)[0] + start).tolist())
-        best = int(running[-1])
-    return out
-
-
-def _ratio_record_indices(arr: np.ndarray) -> list[int]:
+def _record_indices(arr: np.ndarray, ratio: bool) -> list[int]:
+    """n >= 1 where arr[n] (or arr[n]/n when ratio) beats every earlier value."""
     # Conservative prescan: float error is ~1e-15 relative, so no true record
     # can fall below the shifted running max by a 1e-9 factor.  The running
     # max carries across blocks, so the prescan is that of one full scan.
     prescan: list[int] = []
-    best_ratio = 0.0
+    best = 0.0
     for start in range(1, len(arr), _SCAN_BLOCK):
-        values = arr[start : start + _SCAN_BLOCK]
-        ratios = values / np.arange(start, start + len(values), dtype=np.float64)
-        running = np.maximum(np.maximum.accumulate(ratios), best_ratio)
-        prev_max = np.concatenate(([best_ratio], running[:-1]))
-        prescan.extend((np.nonzero(ratios >= prev_max * (1 - 1e-9))[0] + start).tolist())
-        best_ratio = float(running[-1])
+        values = arr[start : start + _SCAN_BLOCK].astype(np.float64)
+        if ratio:
+            values /= np.arange(start, start + len(values), dtype=np.float64)
+        running = np.maximum(np.maximum.accumulate(values), best)
+        prev_max = np.concatenate(([best], running[:-1]))
+        prescan.extend((np.nonzero(values >= prev_max * (1 - 1e-9))[0] + start).tolist())
+        best = float(running[-1])
     out: list[int] = []
     best_num, best_den = 0, 1
     for n in prescan:
-        value = int(arr[n])
-        if value * best_den > best_num * n:
+        value, den = int(arr[n]), n if ratio else 1
+        if value * best_den > best_num * den:
             out.append(n)
-            best_num, best_den = value, n
+            best_num, best_den = value, den
     return out
 
 
@@ -269,15 +266,6 @@ def candidates(bound: int) -> list[Factorization]:
     return [Factorization._proven(pairs) for _, pairs in found]
 
 
-# Each kind's value on a candidate, and whether it is compared as value/n.
-_VALUES = {
-    RecordKind.RHC: (lambda fac: _kappa_of(fac, 0), False),
-    RecordKind.RSA: (lambda fac: _kappa_of(fac, 1), True),
-    RecordKind.HC: (d_of, False),
-    RecordKind.SA: (sigma_of, True),
-}
-
-
 def search_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
     """Find every strict record-setter up to bound among the candidates.
 
@@ -289,10 +277,8 @@ def search_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
     facs = candidates(bound)
     flags: dict[int, RecordKind] = {}
     found: dict[int, Factorization] = {}
-    for kind in _KIND_ORDER:
-        if kind not in kinds:
-            continue
-        value_of, ratio = _VALUES[kind]
+    for kind in _single(kinds):
+        _, ratio, value_of = _KINDS[kind]
         best_num, best_den = 0, 1
         for fac in facs:
             value, n = value_of(fac), fac.n
@@ -319,52 +305,32 @@ def tau_decompose(n: int) -> tuple[int, int]:
     return tau, p.a >> tau
 
 
-def sieve_records(
-    bound: int, kinds: RecordKind = ALL_KINDS, *, max_memory: int | None = None
-) -> RecordTable:
+def sieve_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
     """Oracle: every strict record-setter up to bound, by sieving and scanning 1..bound.
 
     The sieves are int64 arrays, so the bound is held to sieve.check_budget.
     """
     if not kinds:
         raise ValueError("no record kinds requested")
-    needed = {
-        RecordKind.RHC: "a",
-        RecordKind.RSA: "b",
-        RecordKind.HC: "d",
-        RecordKind.SA: "sigma",
-    }
-    wanted = [kind for kind in _KIND_ORDER if kind in kinds]
-    sieve.check_budget(bound, len(wanted), max_memory)
+    wanted = _single(kinds)
+    sieve.check_budget(bound, len(wanted))
 
     flags: dict[int, RecordKind] = {}
-    arrays: dict[RecordKind, np.ndarray] = {}
+    arrays: dict[str, np.ndarray] = {}
     for kind in wanted:
-        arr = sieve.TABLE_BUILDERS[needed[kind]](bound)
-        arrays[kind] = arr
-        record_ns = (
-            _int_record_indices(arr)
-            if kind in (RecordKind.RHC, RecordKind.HC)
-            else _ratio_record_indices(arr)
-        )
-        for n in record_ns:
+        name, ratio, _ = _KINDS[kind]
+        arrays[name] = arr = sieve.TABLE_BUILDERS[name](bound)
+        for n in _record_indices(arr, ratio):
             flags[n] = flags.get(n, RecordKind(0)) | kind
 
     entries = []
     for n in sorted(flags):
         p = profile(n)
-        # Each batch sieve is required to agree with its per-n route: the
-        # core evaluators for a and b, the factorization formulas for d and sigma.
-        per_n = {
-            RecordKind.RHC: (p.a, "evaluator"),
-            RecordKind.RSA: (p.b, "evaluator"),
-            RecordKind.HC: (p.d, "factorization"),
-            RecordKind.SA: (p.sigma, "factorization"),
-        }
-        for kind, arr in arrays.items():
-            value, route = per_n[kind]
-            if value != int(arr[n]):
-                raise AssertionError(f"{needed[kind]}({n}): sieve and {route} disagree")
+        # Each batch sieve must agree with the per-n profile: the core
+        # evaluators for a and b, the factorization formulas for d and sigma.
+        for name, arr in arrays.items():
+            if getattr(p, name) != int(arr[n]):
+                raise AssertionError(f"{name}({n}): sieve and profile disagree")
         entries.append(_entry(p, flags[n]))
     table = RecordTable(bound=bound, kinds=kinds, entries=tuple(entries))
     table.check()

@@ -35,7 +35,8 @@ from .errors import MemoryGuardError
 
 INT64_SAFE_LIMIT = isqrt(2**63 - 1)
 
-# Sized for the default desk workload: four int64 arrays to a 1e7 bound.
+# The one sieve budget outside `table --max-memory`: one int64 table to a
+# 4e7 bound, or the four-array record oracle to 1e7.
 DEFAULT_MAX_MEMORY = 4 * 8 * (10**7 + 1)
 
 
@@ -48,12 +49,13 @@ def check_budget(limit: int, arrays: int, max_memory: int | None = None) -> None
             f"bound {limit} exceeds {INT64_SAFE_LIMIT}, the largest bound for which "
             "int64 accumulation provably cannot wrap"
         )
+    setting = "sieve.DEFAULT_MAX_MEMORY" if max_memory is None else "max_memory"
     allowed = DEFAULT_MAX_MEMORY if max_memory is None else max_memory
     needed = arrays * 8 * (limit + 1)
     if needed > allowed:
         raise MemoryGuardError(
             f"sieving to {limit} needs {needed:,} bytes for {arrays} int64 "
-            f"array(s); allowed {allowed:,} (raise max_memory to proceed)"
+            f"array(s); {setting} allows {allowed:,}"
         )
 
 
@@ -105,33 +107,33 @@ def _sigma_array(limit: int) -> np.ndarray:
     return _sieve(np.arange(limit + 1, dtype=np.int64), 1)
 
 
-def a_array(limit: int, *, max_memory: int | None = None) -> np.ndarray:
+def a_array(limit: int) -> np.ndarray:
     """Counts of recursive divisors for 0..limit (index 0 unused)."""
-    check_budget(limit, 1, max_memory)
+    check_budget(limit, 1)
     return _a_array(limit)
 
 
-def b_array(limit: int, *, max_memory: int | None = None) -> np.ndarray:
+def b_array(limit: int) -> np.ndarray:
     """Sums of recursive divisors for 0..limit (index 0 unused)."""
-    check_budget(limit, 1, max_memory)
+    check_budget(limit, 1)
     return _b_array(limit)
 
 
-def g_array(limit: int, *, max_memory: int | None = None) -> np.ndarray:
+def g_array(limit: int) -> np.ndarray:
     """Ordered factorization counts for 0..limit (index 0 unused)."""
-    check_budget(limit, 1, max_memory)
+    check_budget(limit, 1)
     return _g_array(limit)
 
 
-def d_array(limit: int, *, max_memory: int | None = None) -> np.ndarray:
+def d_array(limit: int) -> np.ndarray:
     """Divisor counts for 0..limit (index 0 unused)."""
-    check_budget(limit, 1, max_memory)
+    check_budget(limit, 1)
     return _d_array(limit)
 
 
-def sigma_array(limit: int, *, max_memory: int | None = None) -> np.ndarray:
+def sigma_array(limit: int) -> np.ndarray:
     """Divisor sums for 0..limit (index 0 unused)."""
-    check_budget(limit, 1, max_memory)
+    check_budget(limit, 1)
     return _sigma_array(limit)
 
 

@@ -73,33 +73,28 @@ def _within_reference(suite: str, limit: int, reference: int) -> None:
         )
 
 
-def verify_tables(limit: int = 96, max_memory: int | None = None) -> SuiteReport:
+def verify_tables(limit: int = 96) -> SuiteReport:
     """First-96 reference values against both evaluation strategies."""
     _within_reference("tables", limit, len(golden.A_FIRST_96))
-    a_arr = sieve.a_array(limit, max_memory=max_memory)
-    b_arr = sieve.b_array(limit, max_memory=max_memory)
+    a_arr = sieve.a_array(limit)
+    b_arr = sieve.b_array(limit)
     sieve_check = CheckResult("sieved tables match reference values")
     recursive_check = CheckResult("per-n recursion matches reference values")
     for n in range(1, limit + 1):
-        want_a = golden.A_FIRST_96[n - 1]
-        want_b = golden.B_FIRST_96[n - 1]
-        sieve_check.tally(
-            int(a_arr[n]) == want_a and int(b_arr[n]) == want_b,
-            f"n={n}: sieve gave ({int(a_arr[n])}, {int(b_arr[n])}), want ({want_a}, {want_b})",
-        )
-        recursive_check.tally(
-            a(n) == want_a and b(n) == want_b,
-            f"n={n}: recursion gave ({a(n)}, {b(n)}), want ({want_a}, {want_b})",
-        )
+        want = (golden.A_FIRST_96[n - 1], golden.B_FIRST_96[n - 1])
+        sieved = (int(a_arr[n]), int(b_arr[n]))
+        recursive = (a(n), b(n))
+        sieve_check.tally(sieved == want, f"n={n}: sieve gave {sieved}, want {want}")
+        recursive_check.tally(recursive == want, f"n={n}: recursion gave {recursive}, want {want}")
     return SuiteReport("tables", [sieve_check, recursive_check])
 
 
-def verify_lemmas(limit: int = 5000, max_memory: int | None = None) -> SuiteReport:
+def verify_lemmas(limit: int = 5000) -> SuiteReport:
     """Size-classified counting identities and the ordered-factorization link."""
     halves = CheckResult("size-1 count is half the total count")
     scaled = CheckResult("size-k count of k*n equals size-1 count of n and the sieved g(n)")
     doubling = CheckResult("count equals twice the enumerated ordered factorizations")
-    g_values = sieve.g_array(limit, max_memory=max_memory).tolist()
+    g_values = sieve.g_array(limit).tolist()
     tables = {m: a_sized(m) for m in range(1, limit + 1)}
     for n in range(2, limit + 1):
         table = tables[n]
@@ -135,7 +130,7 @@ def shape_grid():
                     yield shape
 
 
-def verify_closedforms(limit: int = 10_000, max_memory: int | None = None) -> SuiteReport:
+def verify_closedforms(limit: int = 10_000) -> SuiteReport:
     """Recursions and closed forms against the definitional evaluators."""
     count_routes = CheckResult("count: recursion and closed form match the definition")
     sum_routes = CheckResult("sum: recursion matches the definition")
@@ -174,7 +169,7 @@ def verify_closedforms(limit: int = 10_000, max_memory: int | None = None) -> Su
         distinct.tally(value == a(primorial), f"k={k}: {value} != a({primorial})")
 
     from_counts = CheckResult("ratio from counts matches the sum for all n up to the limit")
-    b_arr = sieve.b_array(limit, max_memory=max_memory)
+    b_arr = sieve.b_array(limit)
     for n in range(1, limit + 1):
         got = closedforms.B_from_A(n)
         want = Fraction(int(b_arr[n]), n)
@@ -184,9 +179,7 @@ def verify_closedforms(limit: int = 10_000, max_memory: int | None = None) -> Su
     )
 
 
-def verify_records(
-    limit: int = golden.RECORDS_BOUND, max_memory: int | None = None
-) -> SuiteReport:
+def verify_records(limit: int = golden.RECORDS_BOUND) -> SuiteReport:
     """Record search against the frozen reference lists and the sieve oracle."""
     _within_reference("records", limit, golden.RECORDS_BOUND)
     table = records.search_records(limit)
@@ -232,7 +225,7 @@ def verify_records(
             shape.tally(exps == sorted(exps, reverse=True), f"n={e.n}: exponents {exps}")
 
     oracle = CheckResult("record search matches the sieve oracle")
-    sieved = records.sieve_records(limit, max_memory=max_memory)
+    sieved = records.sieve_records(limit)
     oracle.tally(
         table == sieved,
         f"tables differ: {len(table.entries)} entries searched, {len(sieved.entries)} sieved",
@@ -240,7 +233,7 @@ def verify_records(
     return SuiteReport("records", [rhc, rsa, hc, sa, exception, shape, oracle])
 
 
-def verify_trees(limit: int = 500, max_memory: int | None = None) -> SuiteReport:
+def verify_trees(limit: int = 500) -> SuiteReport:
     """Layout counting identities and SVG structure."""
     identities = CheckResult("square count, side sum, and main arm match the four functions")
     for n in range(1, limit + 1):
@@ -279,10 +272,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, limit: int | None = None, max_memory: int | None = None) -> SuiteReport:
+def run_suite(name: str, limit: int | None = None) -> SuiteReport:
     """Run one suite, at its default bound unless a limit is given."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if limit is None:
-        return SUITES[name](max_memory=max_memory)
-    return SUITES[name](limit, max_memory=max_memory)
+    return SUITES[name]() if limit is None else SUITES[name](limit)

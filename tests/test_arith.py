@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recdiv import (
-    ExponentSignature,
     Factorization,
     d,
     divisors,
@@ -63,14 +62,6 @@ def test_factorize_skips_validation_the_constructor_keeps(monkeypatch):
 def test_factorize_output_passes_validation(n):
     fac = factorize(n)
     assert Factorization(fac.pairs) == fac
-
-
-def test_signature_sorted_descending():
-    assert factorize(12).signature == ExponentSignature((2, 1))
-    assert factorize(5040).signature.exponents == (4, 2, 1, 1)
-    assert factorize(5040).signature.omega == 8
-    with pytest.raises(ValueError):
-        ExponentSignature((1, 2))
 
 
 def test_divisors_examples():

@@ -160,6 +160,11 @@ def test_memory_guard_exit_code(capsys):
     code, _, err = run(capsys, "table", "a", "1000000", "--max-memory", "100")
     assert code == EXIT_MEMORY
     assert "bytes" in err
+    # Without a flag the guard names the constant that sets it, and refuses
+    # before the suite does any other work.
+    code, _, err = run(capsys, "verify", "lemmas", "100000000")
+    assert code == EXIT_MEMORY
+    assert "800,000,008 bytes" in err and "sieve.DEFAULT_MAX_MEMORY" in err
 
 
 def test_overflow_guard_exit_code(capsys):
@@ -206,6 +211,8 @@ def test_records_budget_exit(monkeypatch, capsys):
 
 
 def test_records_takes_no_memory_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["records", "all", "100", "--max-memory", "100"])
-    assert exc.value.code == EXIT_USAGE
+    # Only `table` sieves on request; `verify` keeps the default guard.
+    for argv in (["records", "all", "100"], ["verify", "tables"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--max-memory", "100"])
+        assert exc.value.code == EXIT_USAGE

@@ -87,7 +87,8 @@ def test_kappa_matches_lattice_walk_oracle(n, signature_count):
     """kappa(n, x) = Σ_{d|n} d^x g(n/d), g from the sub-signature enumeration."""
 
     def g_oracle(m):
-        return 1 if m == 1 else signature_count(factorize(m).signature.exponents) // 2
+        exps = sorted((e for _, e in factorize(m).pairs), reverse=True)
+        return 1 if m == 1 else signature_count(tuple(exps)) // 2
 
     cofactor_counts = [(d, g_oracle(n // d)) for d in divisors(n)]
     for x in range(4):
@@ -164,9 +165,10 @@ def test_ordered_factorizations_unit_and_primes():
         assert list(ordered_factorizations(p)) == [(p,)]
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(core, "TUPLE_BUDGET", 10)
     with pytest.raises(BudgetError):
-        g_enumerated(960, budget=10)
+        g_enumerated(960)
 
 
 def test_recursion_matches_enumeration():

@@ -112,9 +112,10 @@ def test_record_values_strictly_increase(record_search_1m):
         assert first.n == 1
 
 
-def test_memory_guard():
+def test_memory_guard(monkeypatch):
+    monkeypatch.setattr(sieve, "DEFAULT_MAX_MEMORY", 1000)
     with pytest.raises(MemoryGuardError):
-        sieve_records(10**6, max_memory=1000)
+        sieve_records(10**6)
 
 
 def test_parse_kinds():
@@ -157,14 +158,14 @@ def _exact_records(arr, ratio):
     return out
 
 
-@pytest.mark.parametrize("fn, ratio", [("a", False), ("b", True)])
+@pytest.mark.parametrize("fn, ratio", [("a", False), ("b", True), ("d", False), ("sigma", True)])
 def test_blocked_scans_match_exact_scan(fn, ratio):
     block = records._SCAN_BLOCK
     arr = sieve.TABLE_BUILDERS[fn](2 * block + 1)
     want = _exact_records(arr, ratio)
-    scan = records._ratio_record_indices if ratio else records._int_record_indices
     for bound in (1, 2, block - 1, block, block + 1, 2 * block, 2 * block + 1):
-        assert scan(arr[: bound + 1]) == [n for n in want if n <= bound], f"bound={bound}"
+        got = records._record_indices(arr[: bound + 1], ratio)
+        assert got == [n for n in want if n <= bound], f"bound={bound}"
 
 
 def test_record_search_memory_stays_near_its_budget():
@@ -273,6 +274,6 @@ def test_candidates_past_the_primorial_of_fifteen_primes(monkeypatch):
 
 def test_search_budget_is_checked_before_any_evaluation(monkeypatch):
     monkeypatch.setattr(records, "SEARCH_BUDGET", 10)
-    monkeypatch.setattr(records, "_VALUES", {})  # any evaluation would fail
+    monkeypatch.setattr(records, "_KINDS", {})  # any evaluation would fail
     with pytest.raises(BudgetError, match="^record search to 100 exceeded the budget of 10 "):
         search_records(100)

@@ -3,7 +3,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from recdiv import MemoryGuardError, a, b, d, g, sigma
+from recdiv import MemoryGuardError, a, b, d, g, sieve, sigma
 from recdiv.sieve import (
     INT64_SAFE_LIMIT,
     TABLE_BUILDERS,
@@ -47,9 +47,10 @@ def test_overflow_guard_refuses_unsafe_bounds():
         check_budget(INT64_SAFE_LIMIT + 1, 1, max_memory=10**20)
 
 
-def test_memory_guard_reports_footprint():
+def test_memory_guard_reports_footprint(monkeypatch):
+    monkeypatch.setattr(sieve, "DEFAULT_MAX_MEMORY", 1000)
     with pytest.raises(MemoryGuardError, match="bytes"):
-        a_array(10**6, max_memory=1000)
+        a_array(10**6)
 
 
 def test_table_array_dispatch():

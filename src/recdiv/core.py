@@ -152,16 +152,28 @@ def g(n: int) -> int:
 def ordered_factorizations(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every tuple of integers > 1 whose ordered product is n.
 
-    Deliberately unmemoized: this is the independence oracle for the claim
-    that a(n) doubles g(n), so it must not share machinery with the
-    divisor recursion it checks.
+    Tuples come in lexicographic order of their entries: the first entry runs
+    over the divisors > 1 of n in ascending order, and the rest is the walk of
+    the quotient.  n is factored once; every quotient m divides n, so its
+    divisors > 1 are read off n's divisor list, and that filtered list is kept
+    for this call only.  No count is memoized and every tuple is walked: this
+    is the independence oracle for the claim that a(n) doubles g(n), so it
+    must not share machinery with the per-prime evaluation it checks.
     """
-    if n == 1:
-        yield ()
-        return
-    for first in divisors(n)[1:]:
-        for rest in ordered_factorizations(n // first):
-            yield (first, *rest)
+    above_one = divisors(n)[1:]
+    firsts: dict[int, list[int]] = {}
+
+    def walk(m: int) -> Iterator[tuple[int, ...]]:
+        if m == 1:
+            yield ()
+            return
+        if m not in firsts:
+            firsts[m] = [d for d in above_one if m % d == 0]
+        for first in firsts[m]:
+            for rest in walk(m // first):
+                yield (first, *rest)
+
+    return walk(n)
 
 
 def g_enumerated(n: int) -> int:

@@ -9,6 +9,9 @@ SUITES is the one registry of these checks: the CLI runs a suite from it,
 and the acceptance tests run every suite at its default bound, the `limit`
 default in its signature.  The tables and records suites compare against
 frozen reference data, so they refuse a bound past its end.
+
+A check's failure detail is built only when the case fails: `tally` takes a
+zero-argument callable, so a passing case formats no text.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
+from typing import Callable
 from xml.etree import ElementTree
 
 from . import closedforms, golden, records, sieve
@@ -38,10 +42,14 @@ class CheckResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def tally(self, condition: bool, detail: str) -> None:
+    def tally(self, condition: bool, detail: Callable[[], str]) -> None:
+        """Count one case; on failure, record the text that detail() builds.
+
+        detail is called before tally returns, so it may read loop variables.
+        """
         self.checked += 1
         if not condition:
-            self.failures.append(detail)
+            self.failures.append(detail())
 
     def line(self) -> str:
         if self.passed:
@@ -84,39 +92,47 @@ def verify_tables(limit: int = 96) -> SuiteReport:
         want = (golden.A_FIRST_96[n - 1], golden.B_FIRST_96[n - 1])
         sieved = (int(a_arr[n]), int(b_arr[n]))
         recursive = (a(n), b(n))
-        sieve_check.tally(sieved == want, f"n={n}: sieve gave {sieved}, want {want}")
-        recursive_check.tally(recursive == want, f"n={n}: recursion gave {recursive}, want {want}")
+        sieve_check.tally(sieved == want, lambda: f"n={n}: sieve gave {sieved}, want {want}")
+        recursive_check.tally(
+            recursive == want, lambda: f"n={n}: recursion gave {recursive}, want {want}"
+        )
     return SuiteReport("tables", [sieve_check, recursive_check])
 
 
 def verify_lemmas(limit: int = 5000) -> SuiteReport:
-    """Size-classified counting identities and the ordered-factorization link."""
+    """Size-classified counting identities and the ordered-factorization link.
+
+    One pass over m = 1..limit holds one size table at a time.  Its size keys
+    are exactly the divisors k of m, so the scaled identity is checked at every
+    (k, n = m // k) with k * n <= limit, against the size-1 count of n <= m,
+    which is the one integer kept per m.
+    """
     halves = CheckResult("size-1 count is half the total count")
     scaled = CheckResult("size-k count of k*n equals size-1 count of n and the sieved g(n)")
     doubling = CheckResult("count equals twice the enumerated ordered factorizations")
     g_values = sieve.g_array(limit).tolist()
-    tables = {m: a_sized(m) for m in range(1, limit + 1)}
-    for n in range(2, limit + 1):
-        table = tables[n]
-        total = a(n)
-        halves.tally(
-            2 * table.count(1) == total,
-            f"n={n}: size-1 count {table.count(1)} vs total {total}",
-        )
-    for k in range(1, limit + 1):
-        for n in range(1, limit // k + 1):
-            got = tables[k * n].count(k)
-            want = tables[n].count(1)
+    enum_limit = min(limit, 2000)
+    size_one = [0]
+    for m in range(1, limit + 1):
+        table = a_sized(m)
+        size_one.append(table.count(1))
+        if m > 1:
+            total = a(m)
+            halves.tally(
+                2 * size_one[m] == total,
+                lambda: f"n={m}: size-1 count {size_one[m]} vs total {total}",
+            )
+            if m <= enum_limit:
+                tuples = g_enumerated(m)
+                doubling.tally(total == 2 * tuples, lambda: f"n={m}: a={total} vs 2*{tuples}")
+        for k, got in table.entries.items():
+            n = m // k
+            want = size_one[n]
             scaled.tally(
                 got == want == g_values[n],
-                f"k={k} n={n}: {got} != {want} (sieved g(n) = {g_values[n]})",
+                lambda: f"k={k} n={n}: {got} != {want} (sieved g(n) = {g_values[n]})",
             )
-    enum_limit = min(limit, 2000)
-    for n in range(2, enum_limit + 1):
-        tuples = g_enumerated(n)
-        count = a(n)
-        doubling.tally(count == 2 * tuples, f"n={n}: a={count} vs 2*{tuples}")
-    doubling.tally(g_enumerated(12) == 8, "enumeration of 12 must find 8 tuples")
+    doubling.tally(g_enumerated(12) == 8, lambda: "enumeration of 12 must find 8 tuples")
     return SuiteReport("lemmas", [halves, scaled, doubling])
 
 
@@ -131,28 +147,37 @@ def shape_grid():
 
 
 def verify_closedforms(limit: int = 10_000) -> SuiteReport:
-    """Recursions and closed forms against the definitional evaluators."""
+    """Recursions and closed forms against the definitional evaluators.
+
+    Shapes that differ only in prime order share n, and the definitional
+    route is pure, so (a(n), b(n)) is evaluated once per n; every ordered
+    shape is still checked against it.
+    """
+    sieve.check_budget(limit, 1)
     count_routes = CheckResult("count: recursion and closed form match the definition")
     sum_routes = CheckResult("sum: recursion matches the definition")
     ratio_closed = CheckResult("ratio closed form matches the definition (1-2 primes)")
+    definition: dict[int, tuple[int, int]] = {}
     for shape in shape_grid():
         n = shape.n
-        want_a = a(n)
+        if n not in definition:
+            definition[n] = (a(n), b(n))
+        want_a, want_b = definition[n]
         got_rec = closedforms.a_recursion(shape)
         got_closed = closedforms.a_closed(shape)
         count_routes.tally(
             got_rec == want_a and got_closed == want_a,
-            f"n={n} {shape.pairs}: recursion {got_rec}, closed {got_closed}, want {want_a}",
+            lambda: f"n={n} {shape.pairs}: recursion {got_rec}, closed {got_closed}, "
+            f"want {want_a}",
         )
-        want_b = b(n)
         got_b = closedforms.b_recursion(shape)
-        sum_routes.tally(got_b == want_b, f"n={n} {shape.pairs}: {got_b} != {want_b}")
+        sum_routes.tally(got_b == want_b, lambda: f"n={n} {shape.pairs}: {got_b} != {want_b}")
         if len(shape.pairs) <= 2:
             want_ratio = Fraction(want_b, n)
             got_ratio = closedforms.B_closed(shape)
             ratio_closed.tally(
                 got_ratio == want_ratio,
-                f"n={n} {shape.pairs}: {got_ratio} != {want_ratio}",
+                lambda: f"n={n} {shape.pairs}: {got_ratio} != {want_ratio}",
             )
 
     distinct = CheckResult("distinct-prime counts match reference and definition")
@@ -162,18 +187,18 @@ def verify_closedforms(limit: int = 10_000) -> SuiteReport:
         if k < len(golden.DISTINCT_PRIME_COUNTS):
             distinct.tally(
                 value == golden.DISTINCT_PRIME_COUNTS[k],
-                f"k={k}: {value} != {golden.DISTINCT_PRIME_COUNTS[k]}",
+                lambda: f"k={k}: {value} != {golden.DISTINCT_PRIME_COUNTS[k]}",
             )
         if k > 0:
             primorial *= GRID_PRIMES[k - 1] if k <= 6 else 17
-        distinct.tally(value == a(primorial), f"k={k}: {value} != a({primorial})")
+        distinct.tally(value == a(primorial), lambda: f"k={k}: {value} != a({primorial})")
 
     from_counts = CheckResult("ratio from counts matches the sum for all n up to the limit")
     b_arr = sieve.b_array(limit)
     for n in range(1, limit + 1):
         got = closedforms.B_from_A(n)
         want = Fraction(int(b_arr[n]), n)
-        from_counts.tally(got == want, f"n={n}: {got} != {want}")
+        from_counts.tally(got == want, lambda: f"n={n}: {got} != {want}")
     return SuiteReport(
         "closedforms", [count_routes, sum_routes, ratio_closed, distinct, from_counts]
     )
@@ -188,22 +213,22 @@ def verify_records(limit: int = golden.RECORDS_BOUND) -> SuiteReport:
     got_rhc = [
         (e.n, e.tau_cofactor, e.tau) for e in table.entries if records.RecordKind.RHC in e.kinds
     ]
-    rhc.tally(got_rhc == want_rhc, f"got {len(got_rhc)} entries, want {len(want_rhc)}")
+    rhc.tally(got_rhc == want_rhc, lambda: f"got {len(got_rhc)} entries, want {len(want_rhc)}")
 
     rsa = CheckResult("ratio records match reference list")
     want_rsa = [n for n in golden.RSA_RECORDS if n <= limit]
     got_rsa = table.numbers(records.RecordKind.RSA)
-    rsa.tally(got_rsa == want_rsa, f"got {got_rsa[:8]}..., want {want_rsa[:8]}...")
+    rsa.tally(got_rsa == want_rsa, lambda: f"got {got_rsa[:8]}..., want {want_rsa[:8]}...")
 
     hc = CheckResult("divisor-count records match reference (n, d)")
     want_hc = [(n, dv) for n, dv in golden.HC_RECORDS if n <= limit]
     got_hc = [(e.n, e.d) for e in table.entries if records.RecordKind.HC in e.kinds]
-    hc.tally(got_hc == want_hc, f"got {len(got_hc)} entries, want {len(want_hc)}")
+    hc.tally(got_hc == want_hc, lambda: f"got {len(got_hc)} entries, want {len(want_hc)}")
 
     sa = CheckResult("divisor-sum ratio records match reference list")
     want_sa = [n for n in golden.SA_RECORDS if n <= limit]
     got_sa = table.numbers(records.RecordKind.SA)
-    sa.tally(got_sa == want_sa, f"got {len(got_sa)} entries, want {len(want_sa)}")
+    sa.tally(got_sa == want_sa, lambda: f"got {len(got_sa)} entries, want {len(want_sa)}")
 
     exception = CheckResult("every ratio record is a count record, save the known one")
     for n in got_rsa:
@@ -211,24 +236,26 @@ def verify_records(limit: int = golden.RECORDS_BOUND) -> SuiteReport:
         if n == golden.RSA_NOT_RHC:
             exception.tally(
                 records.RecordKind.RHC not in kinds,
-                f"{n} unexpectedly sets a count record",
+                lambda: f"{n} unexpectedly sets a count record",
             )
         else:
             exception.tally(
-                records.RecordKind.RHC in kinds, f"{n} sets a ratio record but no count record"
+                records.RecordKind.RHC in kinds,
+                lambda: f"{n} sets a ratio record but no count record",
             )
 
     shape = CheckResult("count records have non-increasing exponents")
     for e in table.entries:
         if records.RecordKind.RHC in e.kinds:
             exps = [x for _, x in e.factorization.pairs]
-            shape.tally(exps == sorted(exps, reverse=True), f"n={e.n}: exponents {exps}")
+            shape.tally(exps == sorted(exps, reverse=True), lambda: f"n={e.n}: exponents {exps}")
 
     oracle = CheckResult("record search matches the sieve oracle")
     sieved = records.sieve_records(limit)
     oracle.tally(
         table == sieved,
-        f"tables differ: {len(table.entries)} entries searched, {len(sieved.entries)} sieved",
+        lambda: f"tables differ: {len(table.entries)} entries searched, "
+        f"{len(sieved.entries)} sieved",
     )
     return SuiteReport("records", [rhc, rsa, hc, sa, exception, shape, oracle])
 
@@ -246,19 +273,20 @@ def verify_trees(limit: int = 500) -> SuiteReport:
             and len(arm) == d_of(fac)
             and sum(s.side for s in arm) == sigma_of(fac)
         )
-        identities.tally(ok, f"n={n}: ({tree.square_count}, {tree.side_sum}) counts")
+        identities.tally(ok, lambda: f"n={n}: ({tree.square_count}, {tree.side_sum}) counts")
 
     svg_counts = CheckResult("SVG holds exactly one rect per recursive divisor")
     for n in (10, 24, 96):
         doc = ElementTree.fromstring(to_svg(layout(n)))
         rects = [el for el in doc.iter() if el.tag.endswith("rect")]
-        svg_counts.tally(len(rects) == a(n), f"n={n}: {len(rects)} rects, want {a(n)}")
+        svg_counts.tally(len(rects) == a(n), lambda: f"n={n}: {len(rects)} rects, want {a(n)}")
 
     stable = CheckResult("rendering is byte-identical across runs")
     for n in (1, 36, 96):
         style = SvgStyle()
         stable.tally(
-            to_svg(layout(n), style) == to_svg(layout(n), style), f"n={n}: outputs differ"
+            to_svg(layout(n), style) == to_svg(layout(n), style),
+            lambda: f"n={n}: outputs differ",
         )
     return SuiteReport("trees", [identities, svg_counts, stable])
 

@@ -2,7 +2,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from recdiv import arith, golden, records
+from recdiv import arith, closedforms, golden, records, verify
 
 from recdiv.cli import (
     EXIT_BUDGET,
@@ -14,6 +14,7 @@ from recdiv.cli import (
     EXIT_VERIFY,
     main,
 )
+from recdiv.errors import MemoryGuardError
 from recdiv.golden import A_FIRST_96
 from recdiv.sieve import INT64_SAFE_LIMIT
 
@@ -139,6 +140,37 @@ def test_verify_reports_a_failing_check(monkeypatch, capsys):
     assert lines[-1] == "FAIL suite tables"
 
 
+def test_verify_lemmas_reports_a_failing_enumeration(monkeypatch, capsys):
+    real = verify.g_enumerated
+    monkeypatch.setattr(verify, "g_enumerated", lambda n: real(n) + (n == 12))
+    code, out, _ = run(capsys, "verify", "lemmas", "100")
+    assert code == EXIT_VERIFY
+    assert out.splitlines()[2:] == [
+        "FAIL count equals twice the enumerated ordered factorizations (2 of 100): "
+        "n=12: a=16 vs 2*9; enumeration of 12 must find 8 tuples",
+        "FAIL suite lemmas",
+    ]
+
+
+def test_verify_closedforms_fails_every_shape_of_a_wrong_n(monkeypatch, capsys):
+    # The definition is evaluated once per n; both prime orders of 72 must
+    # still be checked against it, and fail.
+    real = verify.b
+    monkeypatch.setattr(verify, "b", lambda n: real(n) + (n == 72))
+    code, out, _ = run(capsys, "verify", "closedforms", "100")
+    assert code == EXIT_VERIFY
+    lines = out.splitlines()
+    assert lines[1] == (
+        "FAIL sum: recursion matches the definition (2 of 13308): "
+        "n=72 ((2, 3), (3, 2)): 524 != 525; n=72 ((3, 2), (2, 3)): 524 != 525"
+    )
+    assert lines[2] == (
+        "FAIL ratio closed form matches the definition (1-2 primes) (2 of 768): "
+        "n=72 ((2, 3), (3, 2)): 131/18 != 175/24; n=72 ((3, 2), (2, 3)): 131/18 != 175/24"
+    )
+    assert lines[-1] == "FAIL suite closedforms"
+
+
 @pytest.mark.parametrize(
     "suite, bound, reference", [("tables", 97, 96), ("records", 10**6 + 1, 10**6)]
 )
@@ -165,6 +197,15 @@ def test_memory_guard_exit_code(capsys):
     code, _, err = run(capsys, "verify", "lemmas", "100000000")
     assert code == EXIT_MEMORY
     assert "800,000,008 bytes" in err and "sieve.DEFAULT_MAX_MEMORY" in err
+
+
+def test_closedforms_guard_runs_before_the_shape_grid(monkeypatch):
+    def refuse(shape):
+        raise AssertionError("the shape grid ran before the memory guard")
+
+    monkeypatch.setattr(closedforms, "a_recursion", refuse)
+    with pytest.raises(MemoryGuardError):
+        verify.run_suite("closedforms", 10**8)
 
 
 def test_overflow_guard_exit_code(capsys):

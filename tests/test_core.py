@@ -165,6 +165,21 @@ def test_ordered_factorizations_unit_and_primes():
         assert list(ordered_factorizations(p)) == [(p,)]
 
 
+def test_ordered_factorizations_match_divisor_recursion():
+    """Same tuples in the same order as refactoring every quotient."""
+
+    def refactoring(n):
+        if n == 1:
+            yield ()
+            return
+        for first in divisors(n)[1:]:
+            for rest in refactoring(n // first):
+                yield (first, *rest)
+
+    for n in range(1, 1001):
+        assert list(ordered_factorizations(n)) == list(refactoring(n))
+
+
 def test_enumeration_budget(monkeypatch):
     monkeypatch.setattr(core, "TUPLE_BUDGET", 10)
     with pytest.raises(BudgetError):

@@ -52,7 +52,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     arr = sieve.table_array(args.fn, args.max, max_memory=args.max_memory)
-    text = formats.format_table(args.fn, arr[1:].tolist(), args.format)
+    text = formats.format_table(args.fn, arr[1:], args.format)
     _write_output(text, args.output)
     return EXIT_OK
 

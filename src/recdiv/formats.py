@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .records import RecordKind, RecordTable, kind_names
 
@@ -24,23 +24,45 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# Rows per %-format in format_table: one template and one argument tuple
+# per chunk, so a large table never holds one Python string per row.
+CHUNK = 65536
+
+
+def _rows(values: Sequence[int], row: str, sep: str) -> Iterator[str]:
+    """Yield format_table's rows in chunks, each formatted by one %-operation.
+
+    Each chunk is its rows joined by sep; the caller joins chunks by sep
+    too. An ndarray chunk goes through .tolist(), so %d sees Python ints.
+    """
+    to_list = hasattr(values, "tolist")
+    for start in range(0, len(values), CHUNK):
+        stop = min(start + CHUNK, len(values))
+        chunk = values[start:stop]
+        flat = [0] * (2 * (stop - start))
+        flat[0::2] = range(start + 1, stop + 1)
+        flat[1::2] = chunk.tolist() if to_list else chunk
+        yield ((row + sep) * (stop - start - 1) + row) % tuple(flat)
+
+
 def format_table(name: str, values: Sequence[int], fmt: ExportFormat) -> str:
     """Serialize values for n = 1..len(values) under the given format.
 
-    b-file lines are "n value", 1-indexed and newline-terminated.
+    values is a sequence of ints or a 1-D integer ndarray. b-file lines are
+    "n value", 1-indexed and newline-terminated. The rows are formatted
+    CHUNK at a time, one %-format per chunk, and the text is byte for byte
+    what one f-string per row gives (tests/test_formats.py keeps that form
+    as the oracle).
     """
     if fmt is ExportFormat.CSV:
-        lines = [f"n,{name}"]
-        lines.extend(f"{n},{v}" for n, v in enumerate(values, start=1))
-        return "\n".join(lines) + "\n"
+        return f"n,{name}\n" + "".join(_rows(values, "%d,%d\n", ""))
     if fmt is ExportFormat.JSON:
         # The bytes of json.dumps over [{"n": n, name: v}, ...] with compact
         # separators, without building one dict per value.
-        key = json.dumps(name)
-        rows = ",".join(f'{{"n":{n},{key}:{int(v)}}}' for n, v in enumerate(values, start=1))
-        return f"[{rows}]\n"
-    lines = [f"{n} {v}" for n, v in enumerate(values, start=1)]
-    return "\n".join(lines) + "\n"
+        key = json.dumps(name).replace("%", "%%")
+        return "[" + ",".join(_rows(values, '{"n":%d,' + key + ":%d}", ",")) + "]\n"
+    # An empty b-file is one bare newline.
+    return "".join(_rows(values, "%d %d\n", "")) or "\n"
 
 
 def parse_table(text: str, fmt: ExportFormat) -> list[tuple[int, int]]:

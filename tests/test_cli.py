@@ -15,8 +15,9 @@ from recdiv.cli import (
     main,
 )
 from recdiv.errors import MemoryGuardError
+from recdiv.formats import CHUNK, ExportFormat, parse_table
 from recdiv.golden import A_FIRST_96
-from recdiv.sieve import INT64_SAFE_LIMIT
+from recdiv.sieve import INT64_SAFE_LIMIT, table_array
 
 
 def run(capsys, *argv):
@@ -59,6 +60,16 @@ def test_table_csv_matches_reference(capsys):
     assert len(lines) == 97
     for n, line in enumerate(lines[1:], start=1):
         assert line == f"{n},{A_FIRST_96[n - 1]}"
+
+
+@pytest.mark.parametrize("fmt", list(ExportFormat))
+def test_table_crossing_a_chunk_round_trips(capsys, fmt):
+    bound = 70000
+    assert bound > CHUNK
+    code, out, _ = run(capsys, "table", "g", str(bound), "--format", fmt.value)
+    assert code == 0
+    sieved = table_array("g", bound)[1:].tolist()
+    assert parse_table(out, fmt) == list(enumerate(sieved, start=1))
 
 
 def test_table_single_line_bfile(capsys):

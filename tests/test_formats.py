@@ -5,6 +5,7 @@ import pytest
 
 from recdiv import RecordKind, sieve_records
 from recdiv.formats import (
+    CHUNK,
     ExportFormat,
     format_records,
     format_table,
@@ -47,6 +48,43 @@ def test_table_json_matches_json_dumps(name):
     oracle = json.dumps(rows, separators=(",", ":")) + "\n"
     assert format_table(name, values, ExportFormat.JSON) == oracle
     assert format_table(name, [], ExportFormat.JSON) == "[]\n"
+
+
+def _per_row(name, values, fmt):
+    """Reference bytes: one f-string per row for CSV and b-file, json.dumps for JSON."""
+    if fmt is ExportFormat.CSV:
+        return "\n".join([f"n,{name}"] + [f"{n},{v}" for n, v in enumerate(values, start=1)]) + "\n"
+    if fmt is ExportFormat.JSON:
+        rows = [{"n": n, name: v} for n, v in enumerate(values, start=1)]
+        return json.dumps(rows, separators=(",", ":")) + "\n"
+    return "\n".join(f"{n} {v}" for n, v in enumerate(values, start=1)) + "\n"
+
+
+@pytest.mark.parametrize("length", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("fmt", list(ExportFormat))
+def test_table_chunks_match_per_row_form(length, fmt):
+    arr = table_array("b", 2 * CHUNK + 1)[1 : length + 1]
+    values = arr.tolist()
+    text = format_table("b", values, fmt)
+    assert text == _per_row("b", values, fmt)
+    assert format_table("b", arr, fmt) == text
+
+
+def test_table_formats_values_beyond_int64():
+    values = [1, 2**70 + 1, 3]
+    for fmt in ExportFormat:
+        assert format_table("g", values, fmt) == _per_row("g", values, fmt)
+    assert "2,1180591620717411303425\n" in format_table("g", values, ExportFormat.CSV)
+
+
+def test_table_empty_input_bytes():
+    assert format_table("a", [], ExportFormat.CSV) == "n,a\n"
+    assert format_table("a", [], ExportFormat.JSON) == "[]\n"
+    assert format_table("a", [], ExportFormat.BFILE) == "\n"
+
+
+def test_table_json_key_with_percent():
+    assert format_table("5%", [7], ExportFormat.JSON) == _per_row("5%", [7], ExportFormat.JSON)
 
 
 def test_bfile_stable_across_runs():

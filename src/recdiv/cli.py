@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable
 
 from . import formats, records, sieve, verify
 from .core import profile
 from .errors import BudgetError, MemoryGuardError
-from .tree import SvgStyle, layout, self_overlap, to_svg
+from .tree import SvgStyle, layout, self_overlap, svg_chunks
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -25,12 +26,13 @@ EXIT_BUDGET = 6
 EXIT_INTERNAL = 7
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(chunks: Iterable[str], path: str | None) -> None:
+    """Write chunks in order to stdout, or to path when one is given."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _format_arg(text: str) -> formats.ExportFormat:
@@ -52,16 +54,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     arr = sieve.table_array(args.fn, args.max, max_memory=args.max_memory)
-    text = formats.format_table(args.fn, arr[1:], args.format)
-    _write_output(text, args.output)
+    _write_output(formats.table_chunks(args.fn, arr[1:], args.format), args.output)
     return EXIT_OK
 
 
 def cmd_records(args: argparse.Namespace) -> int:
     kinds = records.parse_kinds(args.kinds)
     table = records.search_records(args.max, kinds)
-    text = formats.format_records(table, args.format)
-    _write_output(text, args.output)
+    _write_output((formats.format_records(table, args.format),), args.output)
     return EXIT_OK
 
 
@@ -72,7 +72,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
         shade_by_depth=not args.no_shading,
     )
     tree = layout(args.n, budget=args.budget)
-    _write_output(to_svg(tree, style), args.output)
+    _write_output(svg_chunks(tree, style), args.output)
     # With the SVG on stdout, the summary goes to stderr so stdout stays a valid document.
     summary = sys.stderr if args.output is None else sys.stdout
     print(f"squares={tree.square_count} sidesum={tree.side_sum}", file=summary)

@@ -24,16 +24,17 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# Rows per %-format in format_table: one template and one argument tuple
-# per chunk, so a large table never holds one Python string per row.
-CHUNK = 65536
+# Rows per %-format in table_chunks, and so the most rows it holds as text at
+# once: a large table holds neither one Python string per row nor its whole text.
+CHUNK = 16384
 
 
 def _rows(values: Sequence[int], row: str, sep: str) -> Iterator[str]:
-    """Yield format_table's rows in chunks, each formatted by one %-operation.
+    """Yield the rows for n = 1..len(values) in chunks, each formatted by one %-operation.
 
-    Each chunk is its rows joined by sep; the caller joins chunks by sep
-    too. An ndarray chunk goes through .tolist(), so %d sees Python ints.
+    The chunks concatenate to the rows joined by sep: every chunk after the
+    first starts with sep. An ndarray chunk goes through .tolist(), so %d
+    sees Python ints.
     """
     to_list = hasattr(values, "tolist")
     for start in range(0, len(values), CHUNK):
@@ -42,27 +43,41 @@ def _rows(values: Sequence[int], row: str, sep: str) -> Iterator[str]:
         flat = [0] * (2 * (stop - start))
         flat[0::2] = range(start + 1, stop + 1)
         flat[1::2] = chunk.tolist() if to_list else chunk
-        yield ((row + sep) * (stop - start - 1) + row) % tuple(flat)
+        lead = sep if start else ""
+        yield (lead + (row + sep) * (stop - start - 1) + row) % tuple(flat)
+
+
+def table_chunks(name: str, values: Sequence[int], fmt: ExportFormat) -> Iterator[str]:
+    """Yield format_table's text in order, at most CHUNK rows per string.
+
+    The CLI writes these to its output handle one at a time, so the text of
+    a table is never held whole.
+    """
+    if fmt is ExportFormat.CSV:
+        yield f"n,{name}\n"
+        yield from _rows(values, "%d,%d\n", "")
+    elif fmt is ExportFormat.JSON:
+        # The bytes of json.dumps over [{"n": n, name: v}, ...] with compact
+        # separators, without building one dict per value.
+        key = json.dumps(name).replace("%", "%%")
+        yield "["
+        yield from _rows(values, '{"n":%d,' + key + ":%d}", ",")
+        yield "]\n"
+    elif len(values):
+        yield from _rows(values, "%d %d\n", "")
+    else:
+        yield "\n"  # An empty b-file is one bare newline.
 
 
 def format_table(name: str, values: Sequence[int], fmt: ExportFormat) -> str:
     """Serialize values for n = 1..len(values) under the given format.
 
     values is a sequence of ints or a 1-D integer ndarray. b-file lines are
-    "n value", 1-indexed and newline-terminated. The rows are formatted
-    CHUNK at a time, one %-format per chunk, and the text is byte for byte
-    what one f-string per row gives (tests/test_formats.py keeps that form
-    as the oracle).
+    "n value", 1-indexed and newline-terminated. The text is the chunks of
+    table_chunks joined, and byte for byte what one f-string per row gives
+    (tests/test_formats.py keeps that form as the oracle).
     """
-    if fmt is ExportFormat.CSV:
-        return f"n,{name}\n" + "".join(_rows(values, "%d,%d\n", ""))
-    if fmt is ExportFormat.JSON:
-        # The bytes of json.dumps over [{"n": n, name: v}, ...] with compact
-        # separators, without building one dict per value.
-        key = json.dumps(name).replace("%", "%%")
-        return "[" + ",".join(_rows(values, '{"n":%d,' + key + ":%d}", ",")) + "]\n"
-    # An empty b-file is one bare newline.
-    return "".join(_rows(values, "%d %d\n", "")) or "\n"
+    return "".join(table_chunks(name, values, fmt))
 
 
 def parse_table(text: str, fmt: ExportFormat) -> list[tuple[int, int]]:

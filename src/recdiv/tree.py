@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .arith import proper_divisors
 from .core import a
 from .errors import BudgetError
+from .formats import CHUNK
 
 DEFAULT_SQUARE_BUDGET = 1_000_000
 
@@ -42,7 +44,7 @@ _CCW = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacedSquare:
     """A square in the y-up plane; (x, y) is its lower-left corner.
 
@@ -161,11 +163,11 @@ class SvgStyle:
     stroke: str = "#222222"
 
 
-def to_svg(tree: DivisorTreeLayout, style: SvgStyle | None = None) -> str:
-    """Render a layout as an SVG 1.1 document, one rect per square.
+def svg_chunks(tree: DivisorTreeLayout, style: SvgStyle | None = None) -> Iterator[str]:
+    """Yield to_svg's document in order: the header, the rects CHUNK at a time, the end tag.
 
-    The internal plane is y-up; SVG is y-down, so y coordinates are negated
-    around each square's top edge.
+    The CLI writes these to its output handle one at a time, so the document
+    is never held whole.
     """
     style = style or SvgStyle()
     min_x, min_y, max_x, max_y = tree.bounding_box
@@ -180,13 +182,24 @@ def to_svg(tree: DivisorTreeLayout, style: SvgStyle | None = None) -> str:
         f'stroke-width="{style.stroke_width}"/>'
         for v in levels
     ]
-    head = (
+    yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view_box}">\n'
     )
-    rects = (
-        f'  <rect x="{s.x}" y="{-(s.y + s.side)}" width="{s.side}" height="{s.side}" '
-        f"{tails[min(s.depth, 7)]}\n"
-        for s in tree.squares
-    )
-    return "".join([head, *rects, "</svg>\n"])
+    squares = tree.squares
+    for start in range(0, len(squares), CHUNK):
+        yield "".join(
+            f'  <rect x="{s.x}" y="{-(s.y + s.side)}" width="{s.side}" height="{s.side}" '
+            f"{tails[min(s.depth, 7)]}\n"
+            for s in squares[start : start + CHUNK]
+        )
+    yield "</svg>\n"
+
+
+def to_svg(tree: DivisorTreeLayout, style: SvgStyle | None = None) -> str:
+    """Render a layout as an SVG 1.1 document, one rect per square.
+
+    The internal plane is y-up; SVG is y-down, so y coordinates are negated
+    around each square's top edge.
+    """
+    return "".join(svg_chunks(tree, style))

@@ -1,3 +1,4 @@
+import tracemalloc
 from xml.etree import ElementTree
 
 import pytest
@@ -15,9 +16,10 @@ from recdiv.cli import (
     main,
 )
 from recdiv.errors import MemoryGuardError
-from recdiv.formats import CHUNK, ExportFormat, parse_table
+from recdiv.formats import CHUNK, ExportFormat, format_table, parse_table
 from recdiv.golden import A_FIRST_96
 from recdiv.sieve import INT64_SAFE_LIMIT, table_array
+from recdiv.tree import layout, to_svg
 
 
 def run(capsys, *argv):
@@ -72,6 +74,50 @@ def test_table_crossing_a_chunk_round_trips(capsys, fmt):
     assert parse_table(out, fmt) == list(enumerate(sieved, start=1))
 
 
+@pytest.mark.parametrize("length", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("fmt", list(ExportFormat))
+@pytest.mark.parametrize("fn", ["a", "b", "d", "g", "sigma"])
+def test_table_streams_the_bytes_of_format_table(tmp_path, capsys, fn, fmt, length):
+    expected = format_table(fn, table_array(fn, length)[1:], fmt)
+    assert run(capsys, "table", fn, str(length), "--format", fmt.value) == (0, expected, "")
+    path = tmp_path / "table.out"
+    argv = ("table", fn, str(length), "--format", fmt.value, "-o", str(path))
+    assert run(capsys, *argv) == (0, "", "")
+    assert path.read_bytes() == expected.encode()
+
+
+def test_table_refuses_an_empty_range(tmp_path, capsys):
+    path = tmp_path / "table.out"
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "b", "0", "-o", str(path)])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
+
+
+# Traced bytes one chunk of table_chunks may hold besides the sieved array:
+# its rows' ints, argument tuple, text and encoded bytes. Measured at 2.3 MB
+# for CHUNK = 16,384, the same at 2*10^5 and 10^6 rows.
+CHUNK_ALLOWANCE = 4_000_000
+
+
+def test_table_output_memory_is_bounded_by_one_chunk(tmp_path):
+    bound = 200_000
+    path = tmp_path / "b.json"
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        code = main(["table", "b", str(bound), "--format", "json", "-o", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # The text is larger than the allowance, so holding it whole would fail.
+    assert path.stat().st_size > CHUNK_ALLOWANCE
+    assert peak - base < 8 * (bound + 1) + CHUNK_ALLOWANCE
+
+
 def test_table_single_line_bfile(capsys):
     code, out, _ = run(capsys, "table", "a", "1", "--format", "bfile")
     assert code == 0
@@ -107,6 +153,18 @@ def test_tree_to_stdout_keeps_the_document_valid(capsys):
     assert out.endswith("</svg>\n")
     assert ElementTree.fromstring(out).tag.endswith("svg")
     assert err.splitlines() == ["squares=6 sidesum=14", "overlaps=0"]
+
+
+@pytest.mark.parametrize("n", [1, 96, 4608])
+def test_tree_streams_the_bytes_of_to_svg(tmp_path, capsys, n):
+    tree = layout(n)
+    expected = to_svg(tree)
+    summary = f"squares={tree.square_count} sidesum={tree.side_sum}\n"
+    # A bare tree N puts the SVG alone on stdout and the summary on stderr.
+    assert run(capsys, "tree", str(n)) == (0, expected, summary)
+    path = tmp_path / "tree.svg"
+    assert run(capsys, "tree", str(n), "-o", str(path)) == (0, summary, "")
+    assert path.read_bytes() == expected.encode()
 
 
 def test_tree_of_one_hundred(tmp_path, capsys):

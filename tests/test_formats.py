@@ -60,10 +60,15 @@ def _per_row(name, values, fmt):
     return "\n".join(f"{n} {v}" for n, v in enumerate(values, start=1)) + "\n"
 
 
-@pytest.mark.parametrize("length", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+# Lengths around the end of the first chunk and of the fourth, and one row
+# into the ninth chunk.
+@pytest.mark.parametrize(
+    "length",
+    [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 1],
+)
 @pytest.mark.parametrize("fmt", list(ExportFormat))
 def test_table_chunks_match_per_row_form(length, fmt):
-    arr = table_array("b", 2 * CHUNK + 1)[1 : length + 1]
+    arr = table_array("b", 8 * CHUNK + 1)[1 : length + 1]
     values = arr.tolist()
     text = format_table("b", values, fmt)
     assert text == _per_row("b", values, fmt)

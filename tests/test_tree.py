@@ -21,6 +21,7 @@ from recdiv import (
 )
 from recdiv import tree as tree_module
 from recdiv.arith import proper_divisors
+from recdiv.formats import CHUNK
 from recdiv.tree import DivisorTreeLayout, PlacedSquare
 
 
@@ -213,6 +214,12 @@ def test_svg_matches_per_rect_rendering(style):
     tree = layout(1536)  # 2^9 * 3: depths up to 10, past the darkest shade at 7
     assert max(s.depth for s in tree.squares) > 7
     assert to_svg(tree, style) == per_rect_svg(tree, style)
+
+
+def test_svg_matches_per_rect_rendering_across_chunks():
+    tree = layout(4608)  # 38,912 rects: three chunks of svg_chunks
+    assert tree.square_count > 2 * CHUNK
+    assert to_svg(tree) == per_rect_svg(tree, SvgStyle())
 
 
 def test_svg_rect_counts():

@@ -24,7 +24,7 @@ def main() -> None:
         if pairs:
             hits += 1
             i, j = pairs[0]
-            first = (tree.squares[i].side, tree.squares[j].side)
+            first = tuple(tree.rows[[i, j], 0].tolist())
             print(f"n={n}: {len(pairs)} overlapping pair(s); first sides {first}")
     print(f"{hits} of {stop - start + 1} trees overlap themselves in [{start}, {stop}]")
 

@@ -1,7 +1,8 @@
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +21,12 @@ from recdiv import (
     to_svg,
 )
 from recdiv import tree as tree_module
-from recdiv.arith import proper_divisors
+from recdiv.arith import is_prime, proper_divisors
+from recdiv.cli import main
 from recdiv.formats import CHUNK
 from recdiv.tree import DivisorTreeLayout, PlacedSquare
+
+M89 = 2**89 - 1  # a Mersenne prime: trees of its multiples have coordinates past 2**63
 
 
 def rect_count(svg_text: str) -> int:
@@ -32,7 +36,7 @@ def rect_count(svg_text: str) -> int:
 
 def brute_force_overlaps(tree):
     """Independent oracle: test every pair of open squares directly."""
-    squares = tree.squares
+    squares = tuple(tree.squares)
     pairs = []
     for i in range(len(squares)):
         for j in range(i + 1, len(squares)):
@@ -47,15 +51,46 @@ def brute_force_overlaps(tree):
     return pairs
 
 
+def sweep_overlaps(tree):
+    """Oracle: the x-sorted sweep over PlacedSquares that self_overlap vectorises."""
+    squares = tuple(tree.squares)
+    order = sorted(range(len(squares)), key=lambda i: squares[i].x)
+    pairs = []
+    for pos, i in enumerate(order):
+        si = squares[i]
+        x_limit = si.x + si.side
+        for q in range(pos + 1, len(order)):
+            j = order[q]
+            sj = squares[j]
+            if sj.x >= x_limit:
+                break
+            if si.y < sj.y + sj.side and sj.y < si.y + si.side:
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
+
+
+ReferenceLayout = namedtuple("ReferenceLayout", "squares bounding_box")
+
+
 def per_square_layout(n):
-    """Reference layout: call proper_divisors for every square, sharing no lists."""
+    """Reference layout: one recursive call and one proper_divisors call per square."""
+
+    def attach(direction, px, py, pside, side):
+        if direction is ArmDirection.NE:
+            return px + pside, py + pside
+        if direction is ArmDirection.NW:
+            return px - side, py + pside
+        if direction is ArmDirection.SW:
+            return px - side, py - side
+        return px + pside, py - side
 
     def place(side_len, x, y, depth, direction, out):
         out.append(PlacedSquare(side_len, x, y, depth, direction))
         child_direction = direction.rotated_ccw()
         px, py, pside = x, y, side_len
         for m in reversed(proper_divisors(side_len)):
-            cx, cy = tree_module._attach(direction, px, py, pside, m)
+            cx, cy = attach(direction, px, py, pside, m)
             place(m, cx, cy, depth + 1, child_direction, out)
             px, py, pside = cx, cy, m
 
@@ -67,7 +102,7 @@ def per_square_layout(n):
         max(s.x + s.side for s in squares),
         max(s.y + s.side for s in squares),
     )
-    return DivisorTreeLayout(n, tuple(squares), box)
+    return ReferenceLayout(tuple(squares), box)
 
 
 def per_rect_svg(tree, style):
@@ -132,7 +167,9 @@ def test_root_seeds_northeast_and_children_rotate():
 
 
 def test_layout_deterministic():
-    assert layout(36) == layout(36)
+    first, second = layout(36), layout(36)
+    assert np.array_equal(first.rows, second.rows)
+    assert first.bounding_box == second.bounding_box
 
 
 def test_budget_reports_square_count():
@@ -187,14 +224,19 @@ def test_layout_factors_each_side_once(monkeypatch):
     tree = layout(n)
     assert sorted(sides) == divisors(n)  # every divisor is a side, each factored once
     monkeypatch.undo()
-    assert tree == per_square_layout(n)
+    reference = per_square_layout(n)
+    assert tuple(tree.squares) == reference.squares
+    assert tree.bounding_box == reference.bounding_box
 
 
 def test_overlap_scan_is_linear_in_disjoint_squares():
     # A scan that copied the rest of its x-sorted order for every square
     # would move about 1.25e9 list entries here.
-    squares = tuple(PlacedSquare(1, i, 0, 1, ArmDirection.NE) for i in range(50_000))
-    row = DivisorTreeLayout(0, squares, (0, 0, len(squares), 1))
+    count = 50_000
+    rows = np.zeros((count, 4), np.int64)
+    rows[:, 0] = rows[:, 3] = 1  # unit squares at depth 1
+    rows[:, 1] = np.arange(count)
+    row = DivisorTreeLayout(0, rows, (0, 0, count, 1))
     start = time.perf_counter()
     assert self_overlap(row) == []
     assert time.perf_counter() - start < 1.0
@@ -202,7 +244,11 @@ def test_overlap_scan_is_linear_in_disjoint_squares():
 
 @pytest.mark.parametrize("n, pairs", [(1920, 312), (3600, 798), (4608, 209), (11520, 13910)])
 def test_overlap_pair_counts_of_large_trees(n, pairs):
-    assert len(self_overlap(layout(n))) == pairs
+    tree = layout(n)
+    found = self_overlap(tree)
+    assert len(found) == pairs
+    # 11520 has 5.3 M candidate pairs: many blocks of the vectorised scan.
+    assert found == sweep_overlaps(tree)
 
 
 @pytest.mark.parametrize(
@@ -220,6 +266,58 @@ def test_svg_matches_per_rect_rendering_across_chunks():
     tree = layout(4608)  # 38,912 rects: three chunks of svg_chunks
     assert tree.square_count > 2 * CHUNK
     assert to_svg(tree) == per_rect_svg(tree, SvgStyle())
+
+
+@pytest.mark.parametrize("n", [M89, 6 * M89, 12 * M89], ids=["p", "6p", "12p"])
+def test_layout_past_int64_matches_per_square_oracles(n):
+    tree = layout(n)
+    reference = per_square_layout(n)
+    assert tree.rows.dtype == object  # n * a(n) >= 2**63
+    assert tuple(tree.squares) == reference.squares
+    assert tree.bounding_box == reference.bounding_box
+    for style in (SvgStyle(), SvgStyle(shade_by_depth=False, stroke_width=0.5, margin=0)):
+        assert to_svg(tree, style) == per_rect_svg(reference, style)
+    assert self_overlap(tree) == brute_force_overlaps(reference)
+
+
+def test_rows_are_int64_exactly_below_the_bound():
+    below = next(p for p in range(2**62 - 1, 0, -2) if is_prime(p))
+    above = next(p for p in range(2**62 + 1, 2**63, 2) if is_prime(p))
+    # A prime's tree is two squares, so n * a(n) = 2n: just under and just over 2**63.
+    for n, dtype in ((below, np.int64), (above, object)):
+        tree = layout(n)
+        assert tree.rows.dtype == dtype
+        assert tuple(tree.squares) == per_square_layout(n).squares
+        assert tree.bounding_box == (0, 0, n + 1, n + 1)
+    assert layout(11520).rows.dtype == np.int64
+
+
+def test_tree_cli_bytes_past_int64(tmp_path, capsys):
+    n = 6 * M89  # x and y reach 2**92
+    reference = per_square_layout(n)
+    summary = (
+        f"squares={a(n)} sidesum={b(n)}\n"
+        f"overlaps={len(brute_force_overlaps(reference))}\n"
+    )
+    assert main(["tree", str(n), "--check-overlap"]) == 0
+    assert capsys.readouterr() == (per_rect_svg(reference, SvgStyle()), summary)
+    path = tmp_path / "tree.svg"
+    style_flags = ["--no-shading", "--stroke-width", "0.5", "--margin", "0"]
+    assert main(["tree", str(n), "-o", str(path), *style_flags]) == 0
+    assert capsys.readouterr() == (summary.splitlines(keepends=True)[0], "")
+    style = SvgStyle(shade_by_depth=False, stroke_width=0.5, margin=0)
+    assert path.read_bytes() == per_rect_svg(reference, style).encode()
+
+
+def test_squares_view_indexes_like_a_tuple():
+    tree = layout(24)
+    reference = per_square_layout(24).squares
+    assert len(tree.squares) == len(reference)
+    assert tree.squares[-1] == reference[-1]
+    assert tree.squares[3:9] == reference[3:9]
+    assert tree.main_arm() == [s for s in reference if s.depth <= 1]
+    with pytest.raises(IndexError):
+        tree.squares[len(reference)]
 
 
 def test_svg_rect_counts():

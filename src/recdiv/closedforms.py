@@ -180,22 +180,28 @@ def B_closed(shape: PrimePowerShape) -> Fraction:
         if p == 2:
             return Fraction(c + 2, 2)
         return Fraction((p - 1) * p**c - 2**c, (p - 2) * p**c)
+    # Each sum below is taken over one common denominator D, and
+    # 1/2 + total/2 = (D + D·total) / (2D) is built as one Fraction.
     (p, c), (q, d) = pairs
     if p == 2:
-        total = sum(
-            Fraction(sum(comb(j, k) * comb(c + k + 1, k + 1) for k in range(j + 1)), q**j)
+        # total = Σ_j s_j / q^j, so D = q^d.
+        denominator = q**d
+        scaled = sum(
+            sum(comb(j, k) * comb(c + k + 1, k + 1) for k in range(j + 1)) * q ** (d - j)
             for j in range(d + 1)
         )
     else:
-        total = sum(
-            Fraction(
-                2**i * sum(comb(i + k, k) * comb(j, k) for k in range(j + 1)),
-                p**i * q**j,
-            )
+        # total = Σ_{i,j} 2^i s_ij / (p^i q^j), so D = p^c q^d.
+        denominator = p**c * q**d
+        scaled = sum(
+            2**i
+            * sum(comb(i + k, k) * comb(j, k) for k in range(j + 1))
+            * p ** (c - i)
+            * q ** (d - j)
             for i in range(c + 1)
             for j in range(d + 1)
         )
-    return Fraction(1, 2) + total / 2
+    return Fraction(denominator + scaled, 2 * denominator)
 
 
 def B_from_A(n: int) -> Fraction:
@@ -203,9 +209,10 @@ def B_from_A(n: int) -> Fraction:
 
     B(n) = 1/2 + Σ_{m|n} a(m)/(2m).  One walk over n's divisor lattice gives
     each m = n/d with g(m); a(m) = 2 g(m), except a(1) = 1 at d = n.  Over the
-    common denominator n, the term of m is a(m)·d.
+    common denominator n, the term of m is a(m)·d, so B(n) is one Fraction
+    (n + Σ a(m)·d) / (2n).
     """
     numerator = sum(
         (2 * count if d < n else 1) * d for d, count in divisor_lattice(factorize(n))
     )
-    return Fraction(1, 2) + Fraction(numerator, n) / 2
+    return Fraction(n + numerator, 2 * n)

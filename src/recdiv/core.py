@@ -50,8 +50,10 @@ divisor walk survives only where one value per divisor is the output
 (a_sized, closedforms.B_from_A).  There g of each cofactor n/d > 1, with
 exponents r_k, is MacMahon's sum Σ_m c_m Π_k C(r_k + m − 1, r_k) with the
 same c_m, since j may run to Ω(n).  The definitional recursion and the
-sub-signature enumeration of a are kept in the tests as oracles, and the
-tuple enumeration g_enumerated is a further, independent oracle for g.
+sub-signature enumeration of a are kept in the tests as oracles, and
+g_enumerated is a further, independent oracle for g: it walks every chain
+n → n/f_1 → ... → 1 of an ordered factorization on an explicit stack and
+counts the chains that reach 1, memoizing no count.
 
 All functions are pure; the coefficient cache is a process-local functools
 cache, safe to share across threads under CPython.
@@ -156,9 +158,9 @@ def ordered_factorizations(n: int) -> Iterator[tuple[int, ...]]:
     over the divisors > 1 of n in ascending order, and the rest is the walk of
     the quotient.  n is factored once; every quotient m divides n, so its
     divisors > 1 are read off n's divisor list, and that filtered list is kept
-    for this call only.  No count is memoized and every tuple is walked: this
-    is the independence oracle for the claim that a(n) doubles g(n), so it
-    must not share machinery with the per-prime evaluation it checks.
+    for this call only.  No count is memoized.  g_enumerated walks the same
+    chains on a stack without building the tuples, and the tests check that
+    it counts exactly the tuples listed here.
     """
     above_one = divisors(n)[1:]
     firsts: dict[int, list[int]] = {}
@@ -177,19 +179,36 @@ def ordered_factorizations(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def g_enumerated(n: int) -> int:
-    """Count ordered factorizations by explicit enumeration.
+    """Count ordered factorizations by walking every chain of quotients.
 
-    Walks every tuple, so the cost is g(n) itself; refuses past TUPLE_BUDGET.
+    An ordered factorization (f_1, ..., f_k) of n is the chain of quotients
+    n → n/f_1 → ... → 1, each step dividing by a divisor > 1.  The walk keeps
+    an explicit stack of the quotients still to leave.  Each quotient popped
+    ends one chain that reaches 1 (m > 1 by the step m → 1, and n = 1 by the
+    empty chain) and pushes the quotients m/f > 1 that go on, so the count is
+    one per quotient popped.  Every quotient divides n, so its list of next
+    quotients is read once per call from n's divisor list and kept for this
+    call only.  No count is memoized and every chain is walked, so the cost
+    is g(n) itself: this is the independence oracle for the claim that a(n)
+    doubles g(n), and it shares no machinery with the per-prime evaluation it
+    checks.  TUPLE_BUDGET is checked at every chain; past it, BudgetError.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    above_one = divisors(n)[1:]
+    onward: dict[int, list[int]] = {}
+    stack = [n]
     count = 0
-    for _ in ordered_factorizations(n):
+    while stack:
+        m = stack.pop()
         count += 1
         if count > TUPLE_BUDGET:
             raise BudgetError(
                 f"ordered factorization enumeration for {n} exceeded budget {TUPLE_BUDGET}"
             )
+        if m not in onward:
+            onward[m] = [m // f for f in above_one if f < m and m % f == 0]
+        stack += onward[m]
     return count
 
 

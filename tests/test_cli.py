@@ -3,7 +3,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from recdiv import arith, closedforms, golden, records, verify
+from recdiv import a, arith, closedforms, golden, records, verify
 
 from recdiv.cli import (
     EXIT_BUDGET,
@@ -237,6 +237,30 @@ def test_verify_closedforms_fails_every_shape_of_a_wrong_n(monkeypatch, capsys):
         "FAIL ratio closed form matches the definition (1-2 primes) (2 of 768): "
         "n=72 ((2, 3), (3, 2)): 131/18 != 175/24; n=72 ((3, 2), (2, 3)): 131/18 != 175/24"
     )
+    assert lines[-1] == "FAIL suite closedforms"
+
+
+def test_verify_closedforms_fails_every_shape_of_a_wrong_exponent_tuple(monkeypatch, capsys):
+    # The count routes are evaluated once per exponent tuple; every shape with
+    # that tuple must still be tallied as a failure, in grid order.
+    real = closedforms.a_closed
+    monkeypatch.setattr(
+        closedforms, "a_closed", lambda shape: real(shape) + (shape.exponents == (2, 1))
+    )
+    wrong = [s for s in verify.shape_grid() if s.exponents == (2, 1)]
+    total = sum(1 for _ in verify.shape_grid())
+    code, out, _ = run(capsys, "verify", "closedforms", "100")
+    assert code == EXIT_VERIFY
+    shown = "; ".join(
+        f"n={s.n} {s.pairs}: recursion {a(s.n)}, closed {a(s.n) + 1}, want {a(s.n)}"
+        for s in wrong[:3]
+    )
+    lines = out.splitlines()
+    assert lines[0] == (
+        "FAIL count: recursion and closed form match the definition "
+        f"({len(wrong)} of {total}): {shown}"
+    )
+    assert lines[1].startswith("PASS sum: recursion matches the definition")
     assert lines[-1] == "FAIL suite closedforms"
 
 

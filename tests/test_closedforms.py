@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,10 @@ from recdiv import (
     a_recursion,
     b,
     b_recursion,
+    factorize,
+    verify,
 )
+from recdiv.core import divisor_lattice
 
 
 def shape(*pairs):
@@ -137,3 +141,43 @@ def test_all_routes_agree_on_random_shapes(primes, exps):
 @settings(max_examples=150, deadline=None)
 def test_ratio_from_counts_matches_definition(n):
     assert B_from_A(n) == Fraction(b(n), n)
+
+
+def sum_of_fractions_B_closed(shape):
+    """Oracle: the two-prime closed form as a sum of one Fraction per term."""
+    (p, c), (q, d) = shape.normalized().pairs
+    if p == 2:
+        total = sum(
+            Fraction(sum(comb(j, k) * comb(c + k + 1, k + 1) for k in range(j + 1)), q**j)
+            for j in range(d + 1)
+        )
+    else:
+        total = sum(
+            Fraction(
+                2**i * sum(comb(i + k, k) * comb(j, k) for k in range(j + 1)),
+                p**i * q**j,
+            )
+            for i in range(c + 1)
+            for j in range(d + 1)
+        )
+    return Fraction(1, 2) + total / 2
+
+
+def sum_of_fractions_B_from_A(n):
+    """Oracle: B(n) = 1/2 + Σ_{m|n} a(m)/(2m), adding Fractions."""
+    numerator = sum(
+        (2 * count if d < n else 1) * d for d, count in divisor_lattice(factorize(n))
+    )
+    return Fraction(1, 2) + Fraction(numerator, n) / 2
+
+
+def test_one_denominator_ratios_match_fraction_sums():
+    grid = [s for s in verify.shape_grid() if len(s.pairs) <= 2]
+    pairs = [factorize(n).pairs for n in range(2, 3001)]
+    small = [PrimePowerShape(p) for p in pairs if len(p) <= 2]
+    for s in grid + small:
+        want = Fraction(b(s.n), s.n)
+        oracle = sum_of_fractions_B_closed(s) if len(s.pairs) == 2 else want
+        assert B_closed(s) == oracle == want, s.pairs
+    for n in [s.n for s in grid] + list(range(1, 3001)):
+        assert B_from_A(n) == sum_of_fractions_B_from_A(n) == Fraction(b(n), n), n

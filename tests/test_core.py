@@ -186,6 +186,23 @@ def test_enumeration_budget(monkeypatch):
         g_enumerated(960)
 
 
+def test_chain_walk_counts_the_listed_tuples():
+    """The stack walk counts exactly the tuples ordered_factorizations lists."""
+    for n in range(1, 2001):
+        listed = len(list(ordered_factorizations(n)))
+        assert g_enumerated(n) == listed == g(n), f"n={n}"
+
+
+def test_enumeration_budget_boundary(monkeypatch):
+    # g(960) = 2496: a budget of exactly g(n) admits n, one less refuses it.
+    assert g(960) == 2496
+    monkeypatch.setattr(core, "TUPLE_BUDGET", 2496)
+    assert g_enumerated(960) == 2496
+    monkeypatch.setattr(core, "TUPLE_BUDGET", 2495)
+    with pytest.raises(BudgetError):
+        g_enumerated(960)
+
+
 def test_recursion_matches_enumeration():
     for n in range(1, 301):
         assert g(n) == g_enumerated(n)

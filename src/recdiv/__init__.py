@@ -32,7 +32,6 @@ from .core import (
     g,
     g_enumerated,
     kappa,
-    ordered_factorizations,
     profile,
 )
 from .errors import BudgetError, MemoryGuardError, RecdivError
@@ -92,7 +91,6 @@ __all__ = [
     "is_prime",
     "kappa",
     "layout",
-    "ordered_factorizations",
     "profile",
     "proper_divisors",
     "search_records",

@@ -65,7 +65,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, prod
-from typing import Iterator
 
 # proper_divisors stays importable for perfbench's tracer, which counts calls
 # to recdiv.core.proper_divisors; nothing in this module makes one.
@@ -149,33 +148,6 @@ def g(n: int) -> int:
     """Number of ordered factorizations of n into integers > 1: a(n)/2 for n > 1."""
     count = a(n)
     return count // 2 if count > 1 else 1
-
-
-def ordered_factorizations(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every tuple of integers > 1 whose ordered product is n.
-
-    Tuples come in lexicographic order of their entries: the first entry runs
-    over the divisors > 1 of n in ascending order, and the rest is the walk of
-    the quotient.  n is factored once; every quotient m divides n, so its
-    divisors > 1 are read off n's divisor list, and that filtered list is kept
-    for this call only.  No count is memoized.  g_enumerated walks the same
-    chains on a stack without building the tuples, and the tests check that
-    it counts exactly the tuples listed here.
-    """
-    above_one = divisors(n)[1:]
-    firsts: dict[int, list[int]] = {}
-
-    def walk(m: int) -> Iterator[tuple[int, ...]]:
-        if m == 1:
-            yield ()
-            return
-        if m not in firsts:
-            firsts[m] = [d for d in above_one if m % d == 0]
-        for first in firsts[m]:
-            for rest in walk(m // first):
-                yield (first, *rest)
-
-    return walk(n)
 
 
 def g_enumerated(n: int) -> int:

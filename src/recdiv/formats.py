@@ -11,6 +11,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .records import RecordKind, RecordTable, kind_names
 
 
@@ -24,47 +26,124 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# Rows per %-format in table_chunks, and so the most rows it holds as text at
+# Rows per chunk of table_chunks, and so the most rows it holds as text at
 # once: a large table holds neither one Python string per row nor its whole text.
 CHUNK = 16384
 
+# Digits are written four at a time. A group k < 10^4 of a number's digits is
+# looked up at k + 10^4 when more digits stand to its left, where the entry is
+# k zero-padded, and at k otherwise, where k's leading zeros are NUL bytes that
+# _rows deletes. Each entry is four ASCII bytes, in text order, as one uint32.
+# At k = 0, _UPPER holds four NULs and _LOWEST, for a number's last four
+# digits, holds "0".
+_GROUP = 10**4
 
-def _rows(values: Sequence[int], row: str, sep: str) -> Iterator[str]:
-    """Yield the rows for n = 1..len(values) in chunks, each formatted by one %-operation.
 
-    The chunks concatenate to the rows joined by sep: every chunk after the
-    first starts with sep. An ndarray chunk goes through .tolist(), so %d
-    sees Python ints.
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    # uint16 keeps the temporaries small: they are built at every import.
+    k = np.arange(_GROUP, dtype=np.uint16)[:, None]
+    place = 10 ** np.arange(3, -1, -1, dtype=np.uint16)
+    text = (k // place % 10 + ord("0")).astype(np.uint8)
+    padded = text.view(np.uint32).ravel().copy()
+    text[k < place] = 0
+    upper = np.concatenate([text.view(np.uint32).ravel(), padded])
+    text[0, -1] = ord("0")
+    return upper, np.concatenate([text.view(np.uint32).ravel(), padded])
+
+
+_UPPER, _LOWEST = _digit_tables()
+
+
+def _digits(column: np.ndarray) -> np.ndarray:
+    """The decimal digits of a non-negative integer column, right-aligned.
+
+    Returns a (len(column), w) uint8 array, w the length of the largest value,
+    with leading zeros as NUL bytes. An object column of Python ints takes the
+    same steps; numpy has no divmod for it, hence // and %.
     """
-    to_list = hasattr(values, "tolist")
+    width = len(str(column.max()))
+    groups = -(-width // 4)
+    cells = np.empty((len(column), groups), np.uint32)
+    rest = column
+    for group in reversed(range(groups)):
+        if rest.dtype == object:
+            rest, low = rest // _GROUP, rest % _GROUP
+        else:
+            rest, low = np.divmod(rest, _GROUP)
+        table = _LOWEST if group == groups - 1 else _UPPER
+        cells[:, group] = table[low.astype(np.intp, copy=False) + _GROUP * (rest > 0)]
+    return cells.view(np.uint8)[:, 4 * groups - width :]
+
+
+def _column(chunk: Sequence[int]) -> np.ndarray:
+    """chunk as an array: int64 when every value fits, else Python ints (object)."""
+    if isinstance(chunk, np.ndarray):
+        return chunk
+    try:
+        return np.array(chunk, dtype=np.int64)
+    except OverflowError:
+        return np.array(chunk, dtype=object)
+
+
+def _rows(values: Sequence[int], head: str, middle: str, tail: str, sep: str) -> Iterator[str]:
+    """Yield head + n + middle + value + tail for n = 1..len(values), joined by sep.
+
+    Each chunk of CHUNK rows is one uint8 matrix with one row per n: sep + head,
+    middle and tail are broadcast into their columns, and the digits of n and
+    of its value fill theirs. Its text is the matrix's bytes with every NUL
+    deleted, so the leading zeros go and so does the sep of the first row.
+    The chunks concatenate to the joined rows.
+    """
+    front, middle_b, tail_b = (
+        np.frombuffer(text.encode("ascii"), np.uint8) for text in (sep + head, middle, tail)
+    )
     for start in range(0, len(values), CHUNK):
         stop = min(start + CHUNK, len(values))
-        chunk = values[start:stop]
-        flat = [0] * (2 * (stop - start))
-        flat[0::2] = range(start + 1, stop + 1)
-        flat[1::2] = chunk.tolist() if to_list else chunk
-        lead = sep if start else ""
-        yield (lead + (row + sep) * (stop - start - 1) + row) % tuple(flat)
+        pieces = (
+            front,
+            _digits(np.arange(start + 1, stop + 1)),
+            middle_b,
+            _digits(_column(values[start:stop])),
+            tail_b,
+        )
+        matrix = np.empty((stop - start, sum(piece.shape[-1] for piece in pieces)), np.uint8)
+        column = 0
+        for piece in pieces:
+            matrix[:, column : column + piece.shape[-1]] = piece
+            column += piece.shape[-1]
+        if start == 0:
+            matrix[0, : len(sep)] = 0
+        yield matrix.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _refuse_negative(values: Sequence[int]) -> None:
+    if not len(values):
+        return
+    lowest = values.min() if isinstance(values, np.ndarray) else min(values)
+    if lowest < 0:
+        n, value = next((n, v) for n, v in enumerate(values, start=1) if v < 0)
+        raise ValueError(f"table values must be non-negative; n = {n} has {value}")
 
 
 def table_chunks(name: str, values: Sequence[int], fmt: ExportFormat) -> Iterator[str]:
     """Yield format_table's text in order, at most CHUNK rows per string.
 
     The CLI writes these to its output handle one at a time, so the text of
-    a table is never held whole.
+    a table is never held whole. A negative value raises ValueError before
+    any text is yielded: the digit kernel writes no sign.
     """
+    _refuse_negative(values)
     if fmt is ExportFormat.CSV:
         yield f"n,{name}\n"
-        yield from _rows(values, "%d,%d\n", "")
+        yield from _rows(values, "", ",", "\n", "")
     elif fmt is ExportFormat.JSON:
         # The bytes of json.dumps over [{"n": n, name: v}, ...] with compact
         # separators, without building one dict per value.
-        key = json.dumps(name).replace("%", "%%")
         yield "["
-        yield from _rows(values, '{"n":%d,' + key + ":%d}", ",")
+        yield from _rows(values, '{"n":', "," + json.dumps(name) + ":", "}", ",")
         yield "]\n"
     elif len(values):
-        yield from _rows(values, "%d %d\n", "")
+        yield from _rows(values, "", " ", "\n", "")
     else:
         yield "\n"  # An empty b-file is one bare newline.
 

@@ -1,9 +1,10 @@
 from functools import cache
 from itertools import product
+from typing import Iterator
 
 import pytest
 
-from recdiv import proper_divisors, search_records
+from recdiv import divisors, proper_divisors, search_records
 
 
 class Definitional:
@@ -53,6 +54,38 @@ def a_from_signature(exponents: tuple[int, ...]) -> int:
         sub = tuple(sorted((c for c in combo if c), reverse=True))
         total += a_from_signature(sub)
     return total
+
+
+def ordered_factorizations(n: int) -> Iterator[tuple[int, ...]]:
+    """Oracle: yield every tuple of integers > 1 whose ordered product is n.
+
+    Tuples come in lexicographic order of their entries: the first entry runs
+    over the divisors > 1 of n in ascending order, and the rest is the walk of
+    the quotient.  n is factored once; every quotient m divides n, so its
+    divisors > 1 are read off n's divisor list, and that filtered list is kept
+    for this call only.  No count is memoized.  recdiv.core.g_enumerated walks
+    the same chains on a stack without building the tuples.
+    """
+    above_one = divisors(n)[1:]
+    firsts: dict[int, list[int]] = {}
+
+    def walk(m: int) -> Iterator[tuple[int, ...]]:
+        if m == 1:
+            yield ()
+            return
+        if m not in firsts:
+            firsts[m] = [d for d in above_one if m % d == 0]
+        for first in firsts[m]:
+            for rest in walk(m // first):
+                yield (first, *rest)
+
+    return walk(n)
+
+
+@pytest.fixture(scope="session")
+def factorization_tuples():
+    """The ordered-factorization listing oracle."""
+    return ordered_factorizations
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,6 @@ from recdiv import (
     g,
     g_enumerated,
     kappa,
-    ordered_factorizations,
     profile,
 )
 from recdiv import closedforms, core, records
@@ -141,7 +140,7 @@ def test_evaluators_factor_n_once(monkeypatch):
         assert seen == [n]
 
 
-def test_ordered_factorizations_of_12():
+def test_ordered_factorizations_of_12(factorization_tuples):
     expected = {
         (12,),
         (6, 2),
@@ -152,20 +151,20 @@ def test_ordered_factorizations_of_12():
         (2, 3, 2),
         (2, 2, 3),
     }
-    assert set(ordered_factorizations(12)) == expected
+    assert set(factorization_tuples(12)) == expected
     assert g_enumerated(12) == 8
     assert g(12) == 8
 
 
-def test_ordered_factorizations_unit_and_primes():
-    assert list(ordered_factorizations(1)) == [()]
+def test_ordered_factorizations_unit_and_primes(factorization_tuples):
+    assert list(factorization_tuples(1)) == [()]
     assert g(1) == 1
     for p in (2, 3, 5, 97):
         assert g(p) == 1
-        assert list(ordered_factorizations(p)) == [(p,)]
+        assert list(factorization_tuples(p)) == [(p,)]
 
 
-def test_ordered_factorizations_match_divisor_recursion():
+def test_ordered_factorizations_match_divisor_recursion(factorization_tuples):
     """Same tuples in the same order as refactoring every quotient."""
 
     def refactoring(n):
@@ -177,7 +176,7 @@ def test_ordered_factorizations_match_divisor_recursion():
                 yield (first, *rest)
 
     for n in range(1, 1001):
-        assert list(ordered_factorizations(n)) == list(refactoring(n))
+        assert list(factorization_tuples(n)) == list(refactoring(n))
 
 
 def test_enumeration_budget(monkeypatch):
@@ -186,10 +185,10 @@ def test_enumeration_budget(monkeypatch):
         g_enumerated(960)
 
 
-def test_chain_walk_counts_the_listed_tuples():
-    """The stack walk counts exactly the tuples ordered_factorizations lists."""
+def test_chain_walk_counts_the_listed_tuples(factorization_tuples):
+    """The stack walk counts exactly the tuples the listing oracle yields."""
     for n in range(1, 2001):
-        listed = len(list(ordered_factorizations(n)))
+        listed = len(list(factorization_tuples(n)))
         assert g_enumerated(n) == listed == g(n), f"n={n}"
 
 

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from recdiv import RecordKind, sieve_records
@@ -11,6 +12,7 @@ from recdiv.formats import (
     format_table,
     parse_table,
     rational_str,
+    table_chunks,
 )
 from recdiv.sieve import table_array
 
@@ -61,10 +63,11 @@ def _per_row(name, values, fmt):
 
 
 # Lengths around the end of the first chunk and of the fourth, and one row
-# into the ninth chunk.
+# into the ninth chunk; and lengths at which n gains a digit inside a chunk.
 @pytest.mark.parametrize(
     "length",
-    [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 1],
+    [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 1]
+    + [9, 10, 99, 100, 10**4, 10**5 + 1],
 )
 @pytest.mark.parametrize("fmt", list(ExportFormat))
 def test_table_chunks_match_per_row_form(length, fmt):
@@ -80,6 +83,39 @@ def test_table_formats_values_beyond_int64():
     for fmt in ExportFormat:
         assert format_table("g", values, fmt) == _per_row("g", values, fmt)
     assert "2,1180591620717411303425\n" in format_table("g", values, ExportFormat.CSV)
+
+
+# Values at the edges of the four-digit groups, and the largest int64.
+DIGIT_EDGES = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12, 2**63 - 1]
+
+
+@pytest.mark.parametrize("fmt", list(ExportFormat))
+def test_table_digit_edges(fmt):
+    for value in DIGIT_EDGES:
+        assert format_table("g", [value], fmt) == _per_row("g", [value], fmt), value
+    text = format_table("g", DIGIT_EDGES, fmt)
+    assert text == _per_row("g", DIGIT_EDGES, fmt)
+    assert format_table("g", np.array(DIGIT_EDGES, dtype=np.int64), fmt) == text
+
+
+@pytest.mark.parametrize("fmt", list(ExportFormat))
+def test_table_chunk_mixing_int64_and_larger_values(fmt):
+    # One chunk holds 2**70 + 1, so all of its values are Python ints; the
+    # chunks on either side stay int64.
+    values = table_array("a", 3 * CHUNK)[1:].tolist()
+    values[CHUNK + 7] = 2**70 + 1
+    values[CHUNK + 8 : CHUNK + 8 + len(DIGIT_EDGES)] = DIGIT_EDGES
+    text = format_table("a", values, fmt)
+    assert text == _per_row("a", values, fmt)
+    assert format_table("a", np.array(values, dtype=object), fmt) == text
+
+
+@pytest.mark.parametrize("values", [[1, -5, 3, -7], np.array([1, -5, 3, -7])])
+def test_table_refuses_negative_values(values):
+    for fmt in ExportFormat:
+        chunks = table_chunks("a", values, fmt)
+        with pytest.raises(ValueError, match="n = 2 has -5$"):
+            next(chunks)
 
 
 def test_table_empty_input_bytes():

@@ -23,7 +23,11 @@ from .core import divisor_lattice
 
 @dataclass(frozen=True)
 class PrimePowerShape:
-    """An n of the form p^c, p^c q^d, or p^c q^d r^e; zero exponents absorb away."""
+    """An n of the form p^c, p^c q^d, or p^c q^d r^e; zero exponents absorb away.
+
+    The constructor validates the pairs.  verify.shape_grid proves its primes
+    once and builds its shapes through _proven without that check.
+    """
 
     pairs: tuple[tuple[int, int], ...]
 
@@ -38,6 +42,13 @@ class PrimePowerShape:
                 raise ValueError(f"{p} is not prime")
             if e < 0:
                 raise ValueError(f"exponent must be >= 0 in {p}^{e}")
+
+    @classmethod
+    def _proven(cls, pairs: tuple[tuple[int, int], ...]) -> PrimePowerShape:
+        """A shape of at most three distinct primes the caller has proven, exponents >= 0."""
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "pairs", pairs)
+        return shape
 
     @classmethod
     def of(cls, *pairs: tuple[int, int]) -> PrimePowerShape:

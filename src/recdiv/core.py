@@ -45,25 +45,32 @@ Taking the d = 1 term apart (g(1) = 1),
 
 That costs O(Ω · Σ E_k) integer operations and lists no divisor.  T_k(m) is
 evaluated by Horner's rule in p_k^x; at x = 0 it is C(E_k + m, E_k).  The
-coefficients c depend only on Ω ≤ log2(n) and are the one cache here.  The
-divisor walk survives only where one value per divisor is the output
-(a_sized, closedforms.B_from_A).  There g of each cofactor n/d > 1, with
-exponents r_k, is MacMahon's sum Σ_m c_m Π_k C(r_k + m − 1, r_k) with the
-same c_m, since j may run to Ω(n).  The definitional recursion and the
+coefficients c depend only on Ω ≤ log2(n).  The divisor walk survives only
+where one value per divisor is the output (a_sized, closedforms.B_from_A).
+There g of each cofactor n/d > 1, with exponents r_k, is MacMahon's sum
+Σ_m c_m Π_k C(r_k + m − 1, r_k) with the same c_m, since j may run to Ω(n).
+That column of g(n/d) depends only on n's ordered exponent tuple, so it is
+computed once per tuple (n ≤ 10^4 has 148 tuples), and only the divisors
+themselves are listed per n.  The definitional recursion and the
 sub-signature enumeration of a are kept in the tests as oracles, and
 g_enumerated is a further, independent oracle for g: it walks every chain
 n → n/f_1 → ... → 1 of an ordered factorization on an explicit stack and
 counts the chains that reach 1, memoizing no count.
 
-All functions are pure; the coefficient cache is a process-local functools
-cache, safe to share across threads under CPython.
+All functions are pure.  There are two process-local functools caches, safe
+to share across threads under CPython, and both bounded by the n asked for.
+_coefficients holds one tuple of Ω integers per Ω asked for: at most 64
+tuples while every n is below 2^64.  _g_column holds the G_COLUMN_CACHE
+(1024) most recently used columns, one tuple of d(n) integers each.  n ≤ 10^5
+has 351 tuples and d(n) ≤ 128, so they all fit; in general the cache holds at
+most 1024 times the largest d(n) asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, prod
 
 # proper_divisors stays importable for perfbench's tracer, which counts calls
@@ -73,6 +80,10 @@ from .errors import BudgetError
 
 # Most tuples the g_enumerated oracle walks before it refuses n with BudgetError.
 TUPLE_BUDGET = 1_000_000
+
+# Most g-columns _g_column keeps, one per ordered exponent tuple.  n <= 10^5
+# has 351 such tuples.
+G_COLUMN_CACHE = 1024
 
 
 @cache
@@ -110,18 +121,35 @@ def _kappa_of(fac: Factorization, x: int) -> int:
 def divisor_lattice(fac: Factorization) -> list[tuple[int, int]]:
     """(d, g(n/d)) for every divisor d of n = fac.n, d = 1 first and n last.
 
-    Divisors are built as exponent vectors.  With j running to Ω(n) for every
-    divisor, MacMahon's formula gives g(n/d) = Σ_m c_m Π_k C(r_k + m − 1, r_k)
-    for d < n, r_k being the exponents of n/d; so each divisor carries, per
-    prime, the row of those binomials at its cofactor's exponent.  g(1) = 1.
+    Divisors are listed in mixed radix over fac.pairs, the last prime
+    fastest; the g(n/d) column in the same order depends only on the
+    exponents and comes from _g_column.
     """
-    omega = fac.omega
-    rows = [tuple(comb(r + j, r) for j in range(omega)) for r in range(fac.max_exponent + 1)]
-    entries: list[tuple[int, tuple[tuple[int, ...], ...]]] = [(1, (_coefficients(omega),))]
+    divisors = [1]
     for p, e in fac.pairs:
-        steps = [(p**c, (rows[e - c],)) for c in range(e + 1)]
-        entries = [(d * power, factors + row) for d, factors in entries for power, row in steps]
-    return [(d, sum(map(prod, zip(*factors)))) for d, factors in entries[:-1]] + [(fac.n, 1)]
+        powers = [p**c for c in range(e + 1)]
+        divisors = [d * power for d in divisors for power in powers]
+    return list(zip(divisors, _g_column(tuple(e for _, e in fac.pairs))))
+
+
+@lru_cache(maxsize=G_COLUMN_CACHE)
+def _g_column(exponents: tuple[int, ...]) -> tuple[int, ...]:
+    """g(n/d) over the divisors d of any n with these ordered exponents.
+
+    Divisors are walked as exponent vectors in divisor_lattice's order.  With
+    j running to Ω(n) for every divisor, MacMahon's formula gives
+    g(n/d) = Σ_m c_m Π_k C(r_k + m − 1, r_k) for d < n, r_k being the
+    exponents of n/d; so each divisor carries, per prime, the row of those
+    binomials at its cofactor's exponent.  g(1) = 1 ends the column.
+    """
+    omega = sum(exponents)
+    top = max(exponents, default=0)
+    rows = [tuple(comb(r + j, r) for j in range(omega)) for r in range(top + 1)]
+    factors: list[tuple[tuple[int, ...], ...]] = [(_coefficients(omega),)]
+    for e in exponents:
+        steps = [rows[e - c] for c in range(e + 1)]
+        factors = [f + (row,) for f in factors for row in steps]
+    return tuple(sum(map(prod, zip(*f))) for f in factors[:-1]) + (1,)
 
 
 def kappa(n: int, x: int) -> int:

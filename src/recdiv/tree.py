@@ -44,8 +44,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import proper_divisors
-from .core import a
+# proper_divisors stays importable for perfbench's tracer, which counts calls
+# to recdiv.tree.proper_divisors; layout reads every arm from n's divisor list.
+from .arith import divisors_of, factorize, proper_divisors  # noqa: F401
+from .core import _kappa_of
 from .errors import BudgetError
 from .formats import CHUNK
 
@@ -159,15 +161,13 @@ def _block(
 ) -> np.ndarray:
     """Rows of the subtree of side m seeded in direction k, relative to its root.
 
-    zero_row fixes the dtype; arms and blocks hold the arms factored and the
-    blocks built so far in this layout.
+    zero_row fixes the dtype; arms maps each side to its arm, and blocks holds
+    the blocks built so far in this layout.
     """
     rows = blocks.get((m, k))
     if rows is not None:
         return rows
-    arm = arms.get(m)
-    if arm is None:
-        arm = arms[m] = proper_divisors(m)[::-1]
+    arm = arms[m]
     # The root row is the zero row shifted by (m, 0, 0, 0); each arm square's
     # block is shifted by (0, x, y, 1), its attachment point one level down.
     parts, lengths, offsets = [zero_row], [1], [m, 0, 0, 0]
@@ -188,17 +188,21 @@ def _block(
 def layout(n: int, *, budget: int = DEFAULT_SQUARE_BUDGET) -> DivisorTreeLayout:
     """Deterministic divisor-tree layout for n, root at the origin.
 
-    Every side divides n, so the tree has at most d(n) distinct sides; each
-    side's arm (its proper divisors, largest first) is computed once per call,
-    and each (side, direction) block is built once.
+    n is factored once.  Every side divides n, so the sides are n's d(n)
+    divisors, and the arm of side m (its proper divisors, largest first) is
+    the divisors of n below m that divide it.  Each (side, direction) block
+    is built once.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    count = a(n)
+    fac = factorize(n)
+    count = _kappa_of(fac, 0)
     if count > budget:
         raise BudgetError(f"divisor tree for {n} needs {count} squares; budget is {budget}")
     dtype = np.int64 if n * count < 2**63 else object
-    rows = _block(n, 0, np.zeros((1, 4), dtype), {}, {})
+    sides = divisors_of(fac)
+    arms = {m: [d for d in sides[:i][::-1] if m % d == 0] for i, m in enumerate(sides)}
+    rows = _block(n, 0, np.zeros((1, 4), dtype), arms, {})
     rows.flags.writeable = False
     x, y, side = rows[:, 1], rows[:, 2], rows[:, 0]
     box = (int(x.min()), int(y.min()), int((x + side).max()), int((y + side).max()))

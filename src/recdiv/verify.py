@@ -8,7 +8,9 @@ checked.
 SUITES is the one registry of these checks: the CLI runs a suite from it,
 and the acceptance tests run every suite at its default bound, the `limit`
 default in its signature.  The tables and records suites compare against
-frozen reference data, so they refuse a bound past its end.
+frozen reference data, so they refuse a bound past its end.  The lemmas
+and closedforms suites check the sieve memory guard first and then refuse a
+bound past LEMMAS_BUDGET or CLOSEDFORMS_BUDGET with BudgetError.
 
 A check's failure detail is built only when the case fails: `tally` takes a
 zero-argument callable, so a passing case formats no text.
@@ -29,13 +31,19 @@ from typing import Callable
 from xml.etree import ElementTree
 
 from . import closedforms, golden, records, sieve
-from .arith import d_of, factorize, sigma_of
+from .arith import d_of, factorize, is_prime, sigma_of
 from .core import a, a_sized, b, g_enumerated
+from .errors import BudgetError
 from .tree import SvgStyle, layout, to_svg
 
 GRID_PRIMES = (2, 3, 5, 7, 11, 13)
 GRID_MAX_EXPONENT = 5
 GRID_MAX_N = 10**9
+
+# Largest bounds verify lemmas and verify closedforms admit, each about a
+# minute of work on 2 CPUs; a larger bound is refused with BudgetError.
+LEMMAS_BUDGET = 1_500_000
+CLOSEDFORMS_BUDGET = 2_500_000
 
 
 @dataclass
@@ -87,6 +95,14 @@ def _within_reference(suite: str, limit: int, reference: int) -> None:
         )
 
 
+def _within_budget(suite: str, limit: int, budget: int, setting: str) -> None:
+    if limit > budget:
+        raise BudgetError(
+            f"verify {suite} to {limit} exceeds the work budget of {budget}; "
+            f"verify.{setting} sets it"
+        )
+
+
 def verify_tables(limit: int = 96) -> SuiteReport:
     """First-96 reference values against both evaluation strategies."""
     _within_reference("tables", limit, len(golden.A_FIRST_96))
@@ -113,6 +129,8 @@ def verify_lemmas(limit: int = 5000) -> SuiteReport:
     (k, n = m // k) with k * n <= limit, against the size-1 count of n <= m,
     which is the one integer kept per m.
     """
+    sieve.check_budget(limit, 1)
+    _within_budget("lemmas", limit, LEMMAS_BUDGET, "LEMMAS_BUDGET")
     halves = CheckResult("size-1 count is half the total count")
     scaled = CheckResult("size-k count of k*n equals size-1 count of n and the sieved g(n)")
     doubling = CheckResult("count equals twice the enumerated ordered factorizations")
@@ -145,15 +163,20 @@ def verify_lemmas(limit: int = 5000) -> SuiteReport:
 def shape_grid():
     """Ordered prime-power shapes over the verification grid, n <= GRID_MAX_N.
 
-    n is computed from the primes and exponents first, so a shape past the
-    bound is never built or validated.
+    GRID_PRIMES are proven prime once, and permutations keep each shape's
+    primes distinct, so shapes are built through PrimePowerShape._proven
+    without the constructor's checks.  n is computed from the primes and
+    exponents first, so a shape past the bound is never built.
     """
+    composite = [p for p in GRID_PRIMES if not is_prime(p)]
+    if composite:
+        raise ValueError(f"GRID_PRIMES holds non-primes: {composite}")
     for count in (1, 2, 3):
         for primes in permutations(GRID_PRIMES, count):
             for exps in product(range(1, GRID_MAX_EXPONENT + 1), repeat=count):
                 pairs = tuple(zip(primes, exps))
                 if prod(p**e for p, e in pairs) <= GRID_MAX_N:
-                    yield closedforms.PrimePowerShape(pairs)
+                    yield closedforms.PrimePowerShape._proven(pairs)
 
 
 def verify_closedforms(limit: int = 10_000) -> SuiteReport:
@@ -167,6 +190,7 @@ def verify_closedforms(limit: int = 10_000) -> SuiteReport:
     of its own n.
     """
     sieve.check_budget(limit, 1)
+    _within_budget("closedforms", limit, CLOSEDFORMS_BUDGET, "CLOSEDFORMS_BUDGET")
     count_routes = CheckResult("count: recursion and closed form match the definition")
     sum_routes = CheckResult("sum: recursion matches the definition")
     ratio_closed = CheckResult("ratio closed form matches the definition (1-2 primes)")

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from xml.etree import ElementTree
 
@@ -299,6 +300,39 @@ def test_closedforms_guard_runs_before_the_shape_grid(monkeypatch):
     monkeypatch.setattr(closedforms, "a_recursion", refuse)
     with pytest.raises(MemoryGuardError):
         verify.run_suite("closedforms", 10**8)
+
+
+BUDGETS = [("lemmas", "LEMMAS_BUDGET"), ("closedforms", "CLOSEDFORMS_BUDGET")]
+
+
+@pytest.mark.parametrize("suite, setting", BUDGETS)
+def test_verify_work_budget_exit(monkeypatch, capsys, suite, setting):
+    monkeypatch.setattr(verify, setting, 100)
+    code, out, err = run(capsys, "verify", suite, "101")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == (
+        f"error: verify {suite} to 101 exceeds the work budget of 100; verify.{setting} sets it\n"
+    )
+    code, out, _ = run(capsys, "verify", suite, "100")
+    assert code == 0
+    assert out.endswith(f"PASS suite {suite}\n")
+
+
+@pytest.mark.parametrize("suite, setting", BUDGETS)
+def test_verify_work_budget_admits_the_documented_bounds(capsys, suite, setting):
+    # The default bounds and the CI bounds run; every bound the sieve guard
+    # admits past the budget is refused before any work, and the guard still
+    # answers first at 10^8.
+    budget = getattr(verify, setting)
+    default = inspect.signature(verify.SUITES[suite]).parameters["limit"].default
+    assert max(default, 20_000 if suite == "lemmas" else 100_000) <= budget
+    code, _, err = run(capsys, "verify", suite, str(budget + 1))
+    assert code == EXIT_BUDGET and f"verify.{setting}" in err
+    code, _, err = run(capsys, "verify", suite, str(4 * 10**7))
+    assert code == EXIT_BUDGET
+    code, _, err = run(capsys, "verify", suite, str(10**8))
+    assert code == EXIT_MEMORY and "sieve.DEFAULT_MAX_MEMORY" in err
 
 
 def test_overflow_guard_exit_code(capsys):

@@ -15,6 +15,7 @@ from recdiv import (
     a_recursion,
     b,
     b_recursion,
+    closedforms,
     factorize,
     verify,
 )
@@ -113,6 +114,29 @@ def test_shape_validation():
         shape((4, 1))
     with pytest.raises(ValueError):
         shape((2, -1))
+
+
+def test_shape_grid_proves_its_primes_once(monkeypatch):
+    proven = []
+    real = closedforms.is_prime
+
+    def counting(p):
+        proven.append(p)
+        return real(p)
+
+    for module in (closedforms, verify):
+        monkeypatch.setattr(module, "is_prime", counting)
+    grid = list(verify.shape_grid())
+    assert proven == list(verify.GRID_PRIMES)
+    assert len(grid) == 13308
+    # The validating constructor accepts every grid shape and builds an equal one.
+    assert grid == [PrimePowerShape(s.pairs) for s in grid]
+
+
+def test_shape_grid_refuses_a_composite_grid_prime(monkeypatch):
+    monkeypatch.setattr(verify, "GRID_PRIMES", (2, 3, 9, 7))
+    with pytest.raises(ValueError, match=r"non-primes: \[9\]"):
+        next(verify.shape_grid())
 
 
 @given(st.integers(0, 8), st.integers(0, 8))

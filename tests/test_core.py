@@ -1,5 +1,7 @@
 import time
 from fractions import Fraction
+from itertools import permutations
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from recdiv import (
     kappa,
     profile,
 )
-from recdiv import closedforms, core, records
+from recdiv import cli, closedforms, core, records
 from recdiv.arith import divisors, factorize
 from recdiv.golden import A_FIRST_96, B_FIRST_96
 from recdiv.sieve import a_array, b_array
@@ -295,3 +297,117 @@ def test_profile_invariants_hold(n):
     assert p.b >= p.sigma
     if n > 1:
         assert p.a == 2 * p.g
+
+
+def lattice_walk(fac):
+    """Oracle: divisor_lattice as one uncached MacMahon walk per call.
+
+    Divisors are built as exponent vectors, the last prime fastest, each
+    carrying per prime the binomial row at its cofactor's exponent, and
+    g(n/d) = Σ_m c_m Π_k C(r_k + m − 1, r_k) for d < n; g(1) = 1.  The
+    coefficients c_m are summed here, not read from core.
+    """
+    omega = fac.omega
+    coefficients = tuple(
+        sum((-1) ** (j - m) * comb(j, m) for j in range(m, omega + 1))
+        for m in range(1, omega + 1)
+    )
+    rows = [tuple(comb(r + j, r) for j in range(omega)) for r in range(fac.max_exponent + 1)]
+    entries = [(1, (coefficients,))]
+    for p, e in fac.pairs:
+        steps = [(p**c, (rows[e - c],)) for c in range(e + 1)]
+        entries = [(d * power, factors + row) for d, factors in entries for power, row in steps]
+    return [(d, sum(map(prod, zip(*factors)))) for d, factors in entries[:-1]] + [(fac.n, 1)]
+
+
+def reordered(n):
+    """n and every n with the same exponents on the same primes in another order."""
+    primes, exponents = zip(*factorize(n).pairs)
+    return sorted(
+        {prod(p**e for p, e in zip(primes, order)) for order in permutations(exponents)}
+    )
+
+
+LATTICE_N = (720720, 2**40, 6983776800, 2**10 * 3**5 * 5**3 * 7 * 11)
+
+
+def test_divisor_lattice_matches_the_walk_oracle():
+    checked = [*range(1, 3001), *LATTICE_N, *reordered(720720), *reordered(LATTICE_N[3])]
+    for n in checked:
+        fac = factorize(n)
+        lattice = core.divisor_lattice(fac)
+        assert lattice == lattice_walk(fac), n
+        assert lattice[0] == (1, g(n)) and lattice[-1] == (n, 1)
+
+
+def test_divisor_lattice_orders_divisors_by_prime_order():
+    # 2^3·3 and 2·3^3 have the exponents (3, 1) and (1, 3), so their g-columns
+    # differ; in each, the last prime's exponent runs fastest.
+    assert core.divisor_lattice(factorize(24)) == [
+        (1, 20), (3, 4), (2, 8), (6, 2), (4, 3), (12, 1), (8, 1), (24, 1)
+    ]
+    assert core.divisor_lattice(factorize(54)) == [
+        (1, 20), (3, 8), (9, 3), (27, 1), (2, 4), (6, 2), (18, 1), (54, 1)
+    ]
+
+
+def compositions(total):
+    """Every tuple of positive integers that sums to total."""
+    if total == 0:
+        return [()]
+    return [(first, *rest) for first in range(1, total + 1) for rest in compositions(total - first)]
+
+
+def test_g_column_cache_is_bounded():
+    info = core._g_column.cache_info()
+    assert info.maxsize == core.G_COLUMN_CACHE
+    assert isinstance(info.maxsize, int) and info.maxsize >= 351  # every tuple of n <= 10^5
+
+
+def test_cache_state_does_not_change_lattices():
+    sample = [*range(1, 400), *LATTICE_N]
+    want = [lattice_walk(factorize(n)) for n in sample]
+    core._g_column.cache_clear()
+    assert [core.divisor_lattice(factorize(n)) for n in sample] == want
+    assert [a_sized(n).entries for n in sample] == [dict(sorted(w)) for w in want]
+    # Fill the cache with other tuples (2^10 of them sum to at most 10), so
+    # every lattice below evicts one.
+    filler = [c for total in range(11) for c in compositions(total)]
+    for exponents in filler[: core.G_COLUMN_CACHE]:
+        core._g_column(exponents)
+    assert core._g_column.cache_info().currsize == core.G_COLUMN_CACHE
+    assert [core.divisor_lattice(factorize(n)) for n in sample] == want
+    assert [closedforms.B_from_A(n) for n in sample] == [Fraction(b(n), n) for n in sample]
+
+
+def _mutant_column(monkeypatch, exponents):
+    real = core._g_column
+
+    def mutant(key):
+        column = real(key)
+        return column[:1] + (column[1] + 1,) + column[2:] if key == exponents else column
+
+    monkeypatch.setattr(core, "_g_column", mutant)
+
+
+def test_a_mutant_column_fails_verify_closedforms(monkeypatch, capsys):
+    _mutant_column(monkeypatch, (2, 1))
+    wrong = [n for n in range(1, 101) if tuple(e for _, e in factorize(n).pairs) == (2, 1)]
+    code = cli.main(["verify", "closedforms", "100"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == cli.EXIT_VERIFY
+    assert out[-2].startswith(
+        f"FAIL ratio from counts matches the sum for all n up to the limit ({len(wrong)} of 100): "
+        f"n={wrong[0]}: "
+    )
+    assert out[-1] == "FAIL suite closedforms"
+
+
+def test_a_mutant_column_fails_verify_lemmas(monkeypatch, capsys):
+    _mutant_column(monkeypatch, (2, 1))
+    code = cli.main(["verify", "lemmas", "100"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INTERNAL
+    assert err == (
+        f"error: internal check failed: size table of 12 sums to {a(12) + 1}, expected {a(12)}\n"
+    )

@@ -20,6 +20,7 @@ from recdiv import (
     sigma,
     to_svg,
 )
+from recdiv import arith, core
 from recdiv import tree as tree_module
 from recdiv.arith import is_prime, proper_divisors
 from recdiv.cli import main
@@ -212,17 +213,20 @@ def test_overlap_sweep_matches_brute_force(n):
     assert self_overlap(tree) == brute_force_overlaps(tree)
 
 
-def test_layout_factors_each_side_once(monkeypatch):
-    sides = []
+@pytest.mark.parametrize("n", [1, 12, 4608, 6 * M89])
+def test_layout_factors_n_once(monkeypatch, n):
+    # Every arm is read from n's one divisor list: no side is factored again.
+    seen = []
+    real = arith.factorize
 
-    def counting(m):
-        sides.append(m)
-        return proper_divisors(m)
+    def counting(m, *args):
+        seen.append(m)
+        return real(m, *args)
 
-    monkeypatch.setattr(tree_module, "proper_divisors", counting)
-    n = 4608
+    for module in (arith, core, tree_module):
+        monkeypatch.setattr(module, "factorize", counting)
     tree = layout(n)
-    assert sorted(sides) == divisors(n)  # every divisor is a side, each factored once
+    assert seen == [n]
     monkeypatch.undo()
     reference = per_square_layout(n)
     assert tuple(tree.squares) == reference.squares

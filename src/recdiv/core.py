@@ -61,9 +61,10 @@ All functions are pure.  There are two process-local functools caches, safe
 to share across threads under CPython, and both bounded by the n asked for.
 _coefficients holds one tuple of Ω integers per Ω asked for: at most 64
 tuples while every n is below 2^64.  _g_column holds the G_COLUMN_CACHE
-(1024) most recently used columns, one tuple of d(n) integers each.  n ≤ 10^5
-has 351 tuples and d(n) ≤ 128, so they all fit; in general the cache holds at
-most 1024 times the largest d(n) asked for.
+(2048) most recently used columns, one tuple of d(n) integers each.  n ≤ 10^5
+has 351 tuples and d(n) ≤ 128; n ≤ 2.5·10^6, the larger verify budget, has
+1,061 tuples and d(n) ≤ 320, so they all fit.  In general the cache holds at
+most 2048 times the largest d(n) asked for.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ from .errors import BudgetError
 TUPLE_BUDGET = 1_000_000
 
 # Most g-columns _g_column keeps, one per ordered exponent tuple.  n <= 10^5
-# has 351 such tuples.
-G_COLUMN_CACHE = 1024
+# has 351 such tuples and n <= 2.5·10^6, the larger verify budget, has 1,061.
+G_COLUMN_CACHE = 2048
 
 
 @cache

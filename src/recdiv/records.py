@@ -39,9 +39,37 @@ reaching max_{m<n} f(m) would set a strict record, so it would be a
 candidate below n with a value not below f(n).  The search therefore scans
 the candidates ascending with the same strict comparison as a scan of
 1..bound.  It lists them depth-first, taking each next prime when a branch
-first needs it, and refuses with BudgetError once they outnumber
-SEARCH_BUDGET, before any value is evaluated.  There are 289 candidates up
-to 10^6, 4,357 up to 10^12 and 32,749 up to 10^18.
+first needs it.  There are 289 candidates up to 10^6, 4,357 up to 10^12,
+32,749 up to 10^18 and 172,513 up to 10^24.
+
+The walk also evaluates every candidate, by core's per-prime sums carried
+down the tree.  For n = Π p_k^E_k (see core),
+
+    kappa(n, x) = n^x + Σ_{m=1}^{Ω} c_m · (P_x[m] − n^x),   P_x[m] = Π_k T_k(m),
+    T_k(m) = Σ_{e=0}^{E_k} C(e + m − 1, e) · p_k^{x(E_k − e)}.
+
+Depth-first neighbours share all but their last prime, so each stack entry
+carries the vectors P_0 and P_1.  A child that adds prime p with exponent e
+multiplies its parent's vectors elementwise by T for that p and e, stepped
+from e − 1 by Horner's rule: T_e(m) = p^x · T_{e−1}(m) + C(e + m − 1, e),
+with T_0 = 1.  At x = 0 the sum telescopes to C(e + m, e).  The binomials
+form one table per search, each row from the last by one multiply and one
+exact divide per entry.  Since Σ_{m=1}^{Ω} c_m is Ω mod 2, the sum above is
+n^x · (1 − Ω mod 2) + Σ c_m P_x[m].  At m = 1 every binomial is 1, so
+P_0[1] = Π_k (E_k + 1) = d(n) and P_1[1] = Π_k (1 + p_k + ... + p_k^E_k) =
+sigma(n): all four ranked quantities come from the walk, in O(log n)
+integer operations per candidate.
+
+Every descendant of n, n itself included, has at most Ω(n) + log2(bound/n)
+prime factors, so n's vectors need no more entries than that, and they
+shrink down the tree.  Each candidate is reduced to its four scalars when
+it is popped, so no vector outlives the stack.  The root's vectors have
+bound.bit_length() entries, so a first pass lists the candidates with no
+values and refuses with BudgetError once they outnumber SEARCH_BUDGET: a
+refused bound costs that cheap pass alone, however large it is.  Each
+record entry comes from profile(n), which factors n again and evaluates it
+by the per-n routes; the search raises AssertionError unless its
+factorization, a, b, d and sigma equal the walk's.
 
 sieve_records, the oracle that tests and `verify records` compare against,
 sieves the requested quantities over 1..bound and scans every n.  A
@@ -54,18 +82,21 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Flag, auto
 from fractions import Fraction
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
 from . import sieve
-from .arith import Factorization, d_of, is_prime, sigma_of
-from .core import DivisorProfile, _kappa_of, profile
+from .arith import Factorization, is_prime
+from .core import DivisorProfile, _coefficients, profile
 from .errors import BudgetError
 
 # Most candidates search_records lists before it refuses a bound.  There are
-# 32,749 up to 10^18 (about 11 s with Python 3.11 on one core of a 2-CPU
-# VM), 44,070 up to 10^19 and 58,781 up to 10^20, which is refused.
-SEARCH_BUDGET = 50_000
+# 172,513 up to 10^24 (about 6 s whole process with Python 3.11 on a 2-CPU
+# VM), 284,452 up to 10^26 (about 9.5 s, 170 MB peak RSS) and 362,249 up to
+# 10^27, which is refused.
+SEARCH_BUDGET = 300_000
 
 
 class RecordKind(Flag):
@@ -77,14 +108,14 @@ class RecordKind(Flag):
 
 ALL_KINDS = RecordKind.RHC | RecordKind.RSA | RecordKind.HC | RecordKind.SA
 
-# What each kind ranks: the quantity's name, which is both the
-# DivisorProfile/RecordEntry field and the sieve table; whether it is ranked
-# as value/n; and its value on a known factorization.
+# What each kind ranks: the quantity's name, which is the DivisorProfile,
+# RecordEntry and Candidate field and the sieve table; and whether it is
+# ranked as value/n.
 _KINDS = {
-    RecordKind.RHC: ("a", False, lambda fac: _kappa_of(fac, 0)),
-    RecordKind.RSA: ("b", True, lambda fac: _kappa_of(fac, 1)),
-    RecordKind.HC: ("d", False, d_of),
-    RecordKind.SA: ("sigma", True, sigma_of),
+    RecordKind.RHC: ("a", False),
+    RecordKind.RSA: ("b", True),
+    RecordKind.HC: ("d", False),
+    RecordKind.SA: ("sigma", True),
 }
 
 
@@ -140,7 +171,7 @@ class RecordEntry:
         """The quantity this kind sets records in."""
         if kind not in _KINDS:
             raise ValueError(f"record_value needs a single kind, got {kind}")
-        name, ratio, _ = _KINDS[kind]
+        name, ratio = _KINDS[kind]
         value = getattr(self, name)
         return Fraction(value, self.n) if ratio else value
 
@@ -231,39 +262,110 @@ def _entry(p: DivisorProfile, kinds: RecordKind) -> RecordEntry:
     )
 
 
-def candidates(bound: int) -> list[Factorization]:
-    """Integers up to bound with non-increasing exponents on 2, 3, 5, ..., ascending.
+class Candidate(NamedTuple):
+    """One candidate integer with the four quantities its walk carried."""
 
-    Depth-first: each node extends its prefix by the next prime, taken when
-    a branch first reaches it, to an exponent no larger than the last one.
-    Raises BudgetError once more than SEARCH_BUDGET are found.
+    n: int
+    pairs: tuple[tuple[int, int], ...]
+    a: int
+    b: int
+    d: int
+    sigma: int
+
+    @property
+    def factorization(self) -> Factorization:
+        return Factorization._proven(self.pairs)
+
+
+def _admit(bound: int) -> list[int]:
+    """The primes of the candidates up to bound, once they are counted.
+
+    Walks the candidates depth-first as candidates does, evaluating none,
+    and raises BudgetError once more than SEARCH_BUDGET are found.
     """
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
     primes = [2]
-    found: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-    stack = [(1, (), bound.bit_length())]
+    count = 0
+    stack = [(1, 0, bound.bit_length())]
     while stack:
-        n, pairs, cap = stack.pop()
-        found.append((n, pairs))
-        if len(found) > SEARCH_BUDGET:
+        n, k, cap = stack.pop()
+        count += 1
+        if count > SEARCH_BUDGET:
             raise BudgetError(
                 f"record search to {bound} exceeded the budget of {SEARCH_BUDGET} candidates"
             )
-        if len(pairs) == len(primes):
+        if k == len(primes):
             q = primes[-1] + 1
             while not is_prime(q):
                 q += 1
             primes.append(q)
-        p = primes[len(pairs)]
-        m = n
         for e in range(1, cap + 1):
-            m *= p
-            if m > bound:
+            n *= primes[k]
+            if n > bound:
                 break
-            stack.append((m, pairs + ((p, e),), e))
+            stack.append((n, k + 1, e))
+    return primes
+
+
+def _binomial_rows(width: int) -> list[list[int]]:
+    """rows[e][k] = C(e + k, e) for e < width and k <= width.
+
+    Each row comes from the last by one multiply and one exact divide per
+    entry: C(e + k, e) = C(e − 1 + k, e − 1) · (e + k) / e.
+    """
+    rows = [[1] * (width + 1)]
+    for e in range(1, width):
+        rows.append([binom * (e + k) // e for k, binom in enumerate(rows[-1])])
+    return rows
+
+
+def candidates(bound: int) -> list[Candidate]:
+    """Integers up to bound with non-increasing exponents on 2, 3, 5, ..., ascending.
+
+    Depth-first: each node extends its prefix by the next prime, taken when
+    a branch first reaches it, to an exponent no larger than the last one.
+    Each stack entry carries P_0[m] and P_1[m] for every m up to the most
+    prime factors its subtree can hold, and each candidate is reduced to its
+    a, b, d and sigma when it is popped (see the module docstring).  _admit
+    counts the candidates first, so a bound with more than SEARCH_BUDGET
+    raises BudgetError before any is evaluated.
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    primes = _admit(bound)
+    found: list[Candidate] = []
+    width = bound.bit_length()
+    rows = _binomial_rows(width)
+    ones = rows[0][:width]
+    stack = [(1, (), width, 0, ones, ones)]
+    while stack:
+        n, pairs, cap, omega, p0, p1 = stack.pop()
+        coeffs = _coefficients(omega)
+        even = 1 - omega % 2
+        a = even + sum(map(mul, coeffs, p0))
+        b = even * n + sum(map(mul, coeffs, p1))
+        found.append(Candidate(n, pairs, a, b, p0[0], p1[0]))
+        p = primes[len(pairs)]
+        t1 = ones
+        child = n
+        for e in range(1, cap + 1):
+            child *= p
+            if child > bound:
+                break
+            size = omega + e + (bound // child).bit_length() - 1
+            row = rows[e]
+            t1 = [p * t + binom for t, binom in zip(t1, row[:size])]
+            stack.append(
+                (
+                    child,
+                    pairs + ((p, e),),
+                    e,
+                    omega + e,
+                    list(map(mul, p0, row[1 : size + 1])),
+                    list(map(mul, p1, t1)),
+                )
+            )
     found.sort()
-    return [Factorization._proven(pairs) for _, pairs in found]
+    return found
 
 
 def search_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
@@ -271,27 +373,30 @@ def search_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
 
     See the module docstring for why no other n can set a record.  Any
     bound is admitted; the work is bounded by SEARCH_BUDGET candidates.
+    Each entry comes from profile(n), which factors n again and evaluates
+    it by the per-n routes; it must agree with the walk's values.
     """
     if not kinds:
         raise ValueError("no record kinds requested")
-    facs = candidates(bound)
+    cands = candidates(bound)
     flags: dict[int, RecordKind] = {}
-    found: dict[int, Factorization] = {}
+    found: dict[int, Candidate] = {}
     for kind in _single(kinds):
-        _, ratio, value_of = _KINDS[kind]
+        name, ratio = _KINDS[kind]
         best_num, best_den = 0, 1
-        for fac in facs:
-            value, n = value_of(fac), fac.n
+        for cand in cands:
+            value, n = getattr(cand, name), cand.n
             den = n if ratio else 1
             if value * best_den > best_num * den:
                 best_num, best_den = value, den
                 flags[n] = flags.get(n, RecordKind(0)) | kind
-                found[n] = fac
+                found[n] = cand
     entries = []
     for n in sorted(flags):
-        p = profile(n)
-        if p.factorization != found[n]:
-            raise AssertionError(f"factorization of {n}: search and factorize disagree")
+        p, cand = profile(n), found[n]
+        walked = (cand.factorization, cand.a, cand.b, cand.d, cand.sigma)
+        if (p.factorization, p.a, p.b, p.d, p.sigma) != walked:
+            raise AssertionError(f"{n}: the candidate walk and profile disagree")
         entries.append(_entry(p, flags[n]))
     table = RecordTable(bound=bound, kinds=kinds, entries=tuple(entries))
     table.check()
@@ -318,7 +423,7 @@ def sieve_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
     flags: dict[int, RecordKind] = {}
     arrays: dict[str, np.ndarray] = {}
     for kind in wanted:
-        name, ratio, _ = _KINDS[kind]
+        name, ratio = _KINDS[kind]
         arrays[name] = arr = sieve.TABLE_BUILDERS[name](bound)
         for n in _record_indices(arr, ratio):
             flags[n] = flags.get(n, RecordKind(0)) | kind

@@ -222,17 +222,20 @@ def self_overlap(tree: DivisorTreeLayout) -> list[tuple[int, int]]:
     """
     rows = tree.rows
     order = np.argsort(rows[:, 1], kind="stable")
-    side, x, y = (rows[order, column] for column in range(3))
-    y_end = y + side
+    side, x = rows[order, 0], rows[order, 1]
     # Sorted position p has candidates p + 1 ... stop[p] - 1.  Its candidate
     # pairs are numbered begins[p] ... ends[p] - 1, and pair t's candidate is
     # t + shift[p].
     stop = np.searchsorted(x, x + side, side="left")
     counts = stop - np.arange(1, len(x) + 1)
     ends = np.cumsum(counts)
+    total = int(ends[-1])
+    if total == 0:
+        return []
+    y = rows[order, 2]
+    y_end = y + side
     begins, shift = ends - counts, stop - ends
     del side, x, stop, counts  # a near-budget tree holds 7.5 MB per column
-    total = int(ends[-1])
     firsts, seconds = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for start in range(0, total, PAIR_BLOCK):
         end = min(start + PAIR_BLOCK, total)

@@ -17,7 +17,7 @@ from recdiv import (
     kappa,
     profile,
 )
-from recdiv import cli, closedforms, core, records
+from recdiv import cli, closedforms, core, records, verify
 from recdiv.arith import divisors, factorize
 from recdiv.golden import A_FIRST_96, B_FIRST_96
 from recdiv.sieve import a_array, b_array
@@ -364,15 +364,47 @@ def test_g_column_cache_is_bounded():
     assert isinstance(info.maxsize, int) and info.maxsize >= 351  # every tuple of n <= 10^5
 
 
+def ordered_exponent_tuples(limit):
+    """How many ordered exponent tuples the n <= limit have, walked depth-first.
+
+    A tuple (e_1, ..., e_k) occurs below limit exactly when it does on the
+    first k primes, so each is counted once, at that smallest n.
+    """
+    primes = [p for p in range(2, 60) if all(p % q for q in range(2, p))]
+    count, stack = 0, [(1, 0)]
+    while stack:
+        n, k = stack.pop()
+        count += 1
+        m = n * primes[k]
+        while m <= limit:
+            stack.append((m, k + 1))
+            m *= primes[k]
+    return count
+
+
+def test_g_column_cache_holds_every_tuple_of_both_verify_budgets():
+    assert [ordered_exponent_tuples(n) for n in (10**4, 10**5, 1_500_000, 2_500_000)] == [
+        148, 351, 898, 1061
+    ]
+    limit = max(verify.LEMMAS_BUDGET, verify.CLOSEDFORMS_BUDGET)
+    assert ordered_exponent_tuples(limit) <= core._g_column.cache_info().maxsize
+
+
+def test_ordered_exponent_tuples_counts_what_factorize_sees():
+    seen = {tuple(e for _, e in factorize(n).pairs) for n in range(1, 10**4 + 1)}
+    assert len(seen) == ordered_exponent_tuples(10**4)
+
+
 def test_cache_state_does_not_change_lattices():
     sample = [*range(1, 400), *LATTICE_N]
     want = [lattice_walk(factorize(n)) for n in sample]
     core._g_column.cache_clear()
     assert [core.divisor_lattice(factorize(n)) for n in sample] == want
     assert [a_sized(n).entries for n in sample] == [dict(sorted(w)) for w in want]
-    # Fill the cache with other tuples (2^10 of them sum to at most 10), so
+    # Fill the cache with other tuples (2^11 of them sum to at most 11), so
     # every lattice below evicts one.
-    filler = [c for total in range(11) for c in compositions(total)]
+    filler = [c for total in range(12) for c in compositions(total)]
+    assert len(filler) >= core.G_COLUMN_CACHE
     for exponents in filler[: core.G_COLUMN_CACHE]:
         core._g_column(exponents)
     assert core._g_column.cache_info().currsize == core.G_COLUMN_CACHE

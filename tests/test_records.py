@@ -245,7 +245,7 @@ def _is_candidate(n):
 def test_candidates_are_the_non_increasing_exponent_integers():
     facs = candidates(10**4)
     assert [f.n for f in facs] == [n for n in range(1, 10**4 + 1) if _is_candidate(n)]
-    assert all(f == factorize(f.n) for f in facs)
+    assert all(f.factorization == factorize(f.n) for f in facs)
 
 
 @pytest.mark.parametrize("bound, count", [(10**6, 289), (10**7, 492), (10**12, 4357)])
@@ -274,6 +274,72 @@ def test_candidates_past_the_primorial_of_fifteen_primes(monkeypatch):
 
 def test_search_budget_is_checked_before_any_evaluation(monkeypatch):
     monkeypatch.setattr(records, "SEARCH_BUDGET", 10)
-    monkeypatch.setattr(records, "_KINDS", {})  # any evaluation would fail
+    # Reducing a candidate, comparing a record or building an entry would
+    # raise TypeError instead.
+    monkeypatch.setattr(records, "_coefficients", None)
+    monkeypatch.setattr(records, "_KINDS", None)
+    monkeypatch.setattr(records, "profile", None)
     with pytest.raises(BudgetError, match="^record search to 100 exceeded the budget of 10 "):
         search_records(100)
+
+
+def test_search_budget_boundary(monkeypatch):
+    # 39 candidates lie below 1000 and 172,513 below 10^24.
+    for bound, count in ((1000, 39), (10**24, 172_513)):
+        monkeypatch.setattr(records, "SEARCH_BUDGET", count)
+        records._admit(bound)
+        monkeypatch.setattr(records, "SEARCH_BUDGET", count - 1)
+        with pytest.raises(BudgetError):
+            records._admit(bound)
+
+
+def test_default_budget_admits_1e26_and_refuses_1e27():
+    records._admit(10**26)
+    refusal = f"^record search to {10**27} exceeded the budget of 300000 candidates$"
+    with pytest.raises(BudgetError, match=refusal):
+        search_records(10**27)
+
+
+def _walk_mismatches(facs):
+    """The candidates whose carried a, b, d and sigma differ from the per-n evaluators."""
+    mismatches = []
+    for c in facs:
+        fac = c.factorization
+        kappas = (core._kappa_of(fac, 0), core._kappa_of(fac, 1))
+        if (c.a, c.b, c.d, c.sigma) != (*kappas, arith.d_of(fac), arith.sigma_of(fac)):
+            mismatches.append(c.n)
+    return mismatches
+
+
+def test_walk_values_match_the_per_n_evaluators_to_1e12():
+    facs = candidates(10**12)
+    assert len(facs) == 4357
+    assert _walk_mismatches(facs) == []
+
+
+def test_an_off_by_one_binomial_step_fails_the_walk_checks(monkeypatch):
+    def mutant(width):
+        rows = [[1] * (width + 1)]
+        for e in range(1, width):
+            rows.append([binom * (e + k + 1) // e for k, binom in enumerate(rows[-1])])
+        return rows
+
+    monkeypatch.setattr(records, "_binomial_rows", mutant)
+    assert len(_walk_mismatches(candidates(10**12))) == 4356  # all but n = 1
+    with pytest.raises(AssertionError, match="candidate walk and profile disagree"):
+        search_records(10**12)
+
+
+def test_search_keeps_no_vector_per_candidate():
+    # A candidate keeps n, its pairs and four integers, under 1 kB: the peak
+    # is about 1.9 MB here.  Keeping each candidate's two vectors as well
+    # raised it to 13 MB.
+    bound = 10**12
+    count = len(candidates(bound))
+    tracemalloc.start()
+    try:
+        search_records(bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1000 * count

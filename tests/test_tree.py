@@ -246,6 +246,21 @@ def test_overlap_scan_is_linear_in_disjoint_squares():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "other, pairs",
+    [
+        ((2, 1, 1, 1), [(0, 1)]),  # the one candidate pair overlaps
+        ((2, 1, 2, 1), []),  # the one candidate pair only shares an edge in y
+        ((2, 2, 1, 1), []),  # edge contact in x: no candidate pair at all
+    ],
+)
+def test_overlap_of_two_squares(other, pairs):
+    square = (2, 0, 0, 0)  # (side, x, y, depth)
+    for rows in ([square, other], [other, square]):
+        tree = DivisorTreeLayout(0, np.array(rows, np.int64), (0, 0, 4, 4))
+        assert self_overlap(tree) == pairs
+
+
 @pytest.mark.parametrize("n, pairs", [(1920, 312), (3600, 798), (4608, 209), (11520, 13910)])
 def test_overlap_pair_counts_of_large_trees(n, pairs):
     tree = layout(n)

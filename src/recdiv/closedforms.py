@@ -5,9 +5,21 @@ core.py, precisely so the two routes can be cross-checked against each other.
 B_from_A sums counts over n's divisors with the walk that core.a_sized uses,
 each count from the x = 0 per-prime form; it shares nothing with the x = 1
 per-prime sums that give core.b, which lists no divisor.
-The recursion for the divisor sum over three primes is implemented with sum
-terms throughout its inclusion-exclusion body; its correctness gate is exact
-agreement with the per-n evaluator on the full verification grid.
+
+The paper's recursions for a and b on p^c, p^c q^d and p^c q^d r^e are one
+identity.  With F = kappa(., x), id_x: n -> n^x, δ the Dirichlet unit, μ the
+Möbius function and ∗ Dirichlet convolution, the definition reads
+F ∗ (2δ − 1) = id_x.  Convolving with μ (1 ∗ μ = δ) gives F ∗ (2μ − δ) = J_x,
+Jordan's totient id_x ∗ μ, with J_x(p^e) = (p^x − 1)·p^{x(e−1)}.  μ is (−1)^|T|
+on the product of a set T of n's primes, 0 on other divisors, and T = ∅ gives
+2F(n), so
+
+    kappa(n, x) = J_x(n) + 2 Σ_{∅≠T⊆primes(n)} (−1)^{|T|+1} kappa(n / Π_{p∈T} p, x).
+
+J_0(n) = 0 for n > 1 and J_1 = φ.  The three-prime b is this 7-term body, all
+of it sums of b (no mixed term); its gate is exact agreement with the per-n
+evaluator on the full verification grid.  The recursion takes any number of
+primes; shapes keep at most three for a_closed and B_closed.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, prod
 
 from .arith import factorize, is_prime
 from .core import divisor_lattice
@@ -88,31 +100,27 @@ def a_distinct_primes(k: int) -> int:
 
 
 @cache
-def _a_rec(exponents: tuple[int, ...]) -> int:
-    exponents = tuple(e for e in exponents if e > 0)
-    if not exponents:
-        return 1
-    if len(exponents) == 1:
-        (c,) = exponents
-        return 2 * _a_rec((c - 1,))
-    if len(exponents) == 2:
-        c, e2 = exponents
-        return 2 * (_a_rec((c - 1, e2)) + _a_rec((c, e2 - 1)) - _a_rec((c - 1, e2 - 1)))
-    c, e2, e3 = exponents
-    return 2 * (
-        _a_rec((c - 1, e2, e3))
-        + _a_rec((c, e2 - 1, e3))
-        + _a_rec((c, e2, e3 - 1))
-        - _a_rec((c, e2 - 1, e3 - 1))
-        - _a_rec((c - 1, e2, e3 - 1))
-        - _a_rec((c - 1, e2 - 1, e3))
-        + _a_rec((c - 1, e2 - 1, e3 - 1))
-    )
+def _kappa_rec(pairs: tuple[tuple[int, int], ...], x: int) -> int:
+    """kappa(n, x) by the recursion above; pairs are n's (p, e), every e >= 1.
+
+    terms holds n / Π_{p∈T} p with its coefficient 2(−1)^{|T|+1} for every T,
+    built one prime at a time, T = ∅ first.  A prime whose exponent reaches 0
+    leaves its shape, so every cache key is normalized.
+    """
+    total = 1
+    terms = [((), -2)]
+    for p, e in pairs:
+        total *= (p**x - 1) * p ** (x * (e - 1))
+        kept, lowered = ((p, e),), ((p, e - 1),) if e > 1 else ()
+        terms = [(t + kept, c) for t, c in terms] + [(t + lowered, -c) for t, c in terms]
+    for shape, c in terms[1:]:
+        total += c * _kappa_rec(shape, x)
+    return total
 
 
 def a_recursion(shape: PrimePowerShape) -> int:
-    """Recursive-divisor count via the doubling recursions; prime-agnostic."""
-    return _a_rec(shape.normalized().exponents)
+    """Recursive-divisor count via the doubling recursion; prime-agnostic."""
+    return _kappa_rec(shape.normalized().pairs, 0)
 
 
 def _a_closed_two(c: int, d: int) -> int:
@@ -139,44 +147,9 @@ def a_closed(shape: PrimePowerShape) -> int:
     )
 
 
-@cache
-def _b_rec(pairs: tuple[tuple[int, int], ...]) -> int:
-    pairs = tuple((p, e) for p, e in pairs if e > 0)
-    if not pairs:
-        return 1
-    if len(pairs) == 1:
-        (p, c), = pairs
-        return 2 * _b_rec(((p, c - 1),)) + (p - 1) * p ** (c - 1)
-    if len(pairs) == 2:
-        (p, c), (q, d) = pairs
-        return (
-            2
-            * (
-                _b_rec(((p, c - 1), (q, d)))
-                + _b_rec(((p, c), (q, d - 1)))
-                - _b_rec(((p, c - 1), (q, d - 1)))
-            )
-            + (p - 1) * (q - 1) * p ** (c - 1) * q ** (d - 1)
-        )
-    (p, c), (q, d), (r, e) = pairs
-    return (
-        2
-        * (
-            _b_rec(((p, c - 1), (q, d), (r, e)))
-            + _b_rec(((p, c), (q, d - 1), (r, e)))
-            + _b_rec(((p, c), (q, d), (r, e - 1)))
-            - _b_rec(((p, c), (q, d - 1), (r, e - 1)))
-            - _b_rec(((p, c - 1), (q, d), (r, e - 1)))
-            - _b_rec(((p, c - 1), (q, d - 1), (r, e)))
-            + _b_rec(((p, c - 1), (q, d - 1), (r, e - 1)))
-        )
-        + (p - 1) * (q - 1) * (r - 1) * p ** (c - 1) * q ** (d - 1) * r ** (e - 1)
-    )
-
-
 def b_recursion(shape: PrimePowerShape) -> int:
-    """Recursive-divisor sum via the prime-power recursions; needs concrete primes."""
-    return _b_rec(shape.normalized().pairs)
+    """Recursive-divisor sum via the same recursion at x = 1; needs concrete primes."""
+    return _kappa_rec(shape.normalized().pairs, 1)
 
 
 def B_closed(shape: PrimePowerShape) -> Fraction:

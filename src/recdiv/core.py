@@ -45,8 +45,15 @@ Taking the d = 1 term apart (g(1) = 1),
 
 That costs O(Ω · Σ E_k) integer operations and lists no divisor.  T_k(m) is
 evaluated by Horner's rule in p_k^x; at x = 0 it is C(E_k + m, E_k).  The
-coefficients c depend only on Ω ≤ log2(n).  The divisor walk survives only
-where one value per divisor is the output (a_sized, closedforms.B_from_A).
+coefficients c depend only on Ω ≤ log2(n) and take O(Ω) steps: summing
+C(j, m) = C(j + 1, m + 1) − C(j, m + 1) over j gives c_{m+1} plus
+(−1)^{Ω−m} C(Ω + 1, m + 1) from the first term and −c_{m+1} from the second, so
+
+    c_m = 2 c_{m+1} + (−1)^{Ω−m} C(Ω + 1, m + 1),  c_{Ω+1} = 0,
+
+each binomial from the last by one multiply and one exact divide.  The
+divisor walk survives only where one value per divisor is the output
+(a_sized, closedforms.B_from_A).
 There g of each cofactor n/d > 1, with exponents r_k, is MacMahon's sum
 Σ_m c_m Π_k C(r_k + m − 1, r_k) with the same c_m, since j may run to Ω(n).
 That column of g(n/d) depends only on n's ordered exponent tuple, so it is
@@ -89,11 +96,14 @@ G_COLUMN_CACHE = 2048
 
 @cache
 def _coefficients(omega: int) -> tuple[int, ...]:
-    """(c_1, ..., c_Ω) with c_m = Σ_{j=m}^{Ω} (−1)^{j−m} C(j, m)."""
-    return tuple(
-        sum((-1) ** (j - m) * comb(j, m) for j in range(m, omega + 1))
-        for m in range(1, omega + 1)
-    )
+    """(c_1, ..., c_Ω) by the recurrence above, s = (−1)^{Ω−m} C(Ω + 1, m + 1)."""
+    coefficients = []
+    c, s = 0, 1
+    for m in range(omega, 0, -1):
+        c = 2 * c + s
+        coefficients.append(c)
+        s = -s * (m + 1) // (omega + 1 - m)
+    return tuple(reversed(coefficients))
 
 
 def _prime_sum(q: int, e: int, m: int) -> int:

@@ -90,7 +90,7 @@ import numpy as np
 from . import sieve
 from .arith import Factorization, is_prime
 from .core import DivisorProfile, _coefficients, profile
-from .errors import BudgetError
+from .errors import BudgetError, bound_text
 
 # Most candidates search_records lists before it refuses a bound.  There are
 # 172,513 up to 10^24 (about 6 s whole process with Python 3.11 on a 2-CPU
@@ -291,7 +291,8 @@ def _admit(bound: int) -> list[int]:
         count += 1
         if count > SEARCH_BUDGET:
             raise BudgetError(
-                f"record search to {bound} exceeded the budget of {SEARCH_BUDGET} candidates"
+                f"record search to {bound_text(bound)} exceeded the budget of "
+                f"{SEARCH_BUDGET} candidates"
             )
         if k == len(primes):
             q = primes[-1] + 1
@@ -330,7 +331,7 @@ def candidates(bound: int) -> list[Candidate]:
     raises BudgetError before any is evaluated.
     """
     if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+        raise ValueError(f"bound must be >= 1, got {bound_text(bound)}")
     primes = _admit(bound)
     found: list[Candidate] = []
     width = bound.bit_length()

@@ -31,7 +31,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import MemoryGuardError
+from .errors import MemoryGuardError, bound_text
 
 INT64_SAFE_LIMIT = isqrt(2**63 - 1)
 
@@ -43,10 +43,10 @@ DEFAULT_MAX_MEMORY = 4 * 8 * (10**7 + 1)
 def check_budget(limit: int, arrays: int, max_memory: int | None = None) -> None:
     """Refuse a sieve that would overflow int64 or exceed the memory budget."""
     if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+        raise ValueError(f"limit must be >= 1, got {bound_text(limit)}")
     if limit > INT64_SAFE_LIMIT:
         raise OverflowError(
-            f"bound {limit} exceeds {INT64_SAFE_LIMIT}, the largest bound for which "
+            f"bound {bound_text(limit)} exceeds {INT64_SAFE_LIMIT}, the largest bound for which "
             "int64 accumulation provably cannot wrap"
         )
     setting = "sieve.DEFAULT_MAX_MEMORY" if max_memory is None else "max_memory"

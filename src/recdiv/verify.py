@@ -141,7 +141,9 @@ def verify_lemmas(limit: int = 5000) -> SuiteReport:
         table = a_sized(m)
         size_one.append(table.count(1))
         if m > 1:
-            total = a(m)
+            # a_sized has checked the table's total against a(m) from the
+            # per-prime sums, so m is not factored again for it.
+            total = table.total
             halves.tally(
                 2 * size_one[m] == total,
                 lambda: f"n={m}: size-1 count {size_one[m]} vs total {total}",

@@ -1,5 +1,7 @@
 from fractions import Fraction
-from math import comb
+from functools import cache
+from itertools import product
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,10 @@ from recdiv import (
     a_recursion,
     b,
     b_recursion,
+    cli,
     closedforms,
     factorize,
+    kappa,
     verify,
 )
 from recdiv.core import divisor_lattice
@@ -205,3 +209,51 @@ def test_one_denominator_ratios_match_fraction_sums():
         assert B_closed(s) == oracle == want, s.pairs
     for n in [s.n for s in grid] + list(range(1, 3001)):
         assert B_from_A(n) == sum_of_fractions_B_from_A(n) == Fraction(b(n), n), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2 * 3 * 5 * 7,
+        2 * 3 * 5 * 7 * 11 * 13,
+        2**5 * 3**3 * 5**2 * 7 * 11 * 13,
+        2**2 * 3 * 5 * 7 * 11 * 13 * 17,
+        3**2 * 5 * 7**2 * 11,
+    ],
+)
+def test_recursion_takes_more_primes_than_a_shape_holds(n):
+    pairs = factorize(n).pairs
+    assert 4 <= len(pairs) <= 7
+    assert closedforms._kappa_rec(pairs, 0) == kappa(n, 0) == a(n)
+    assert closedforms._kappa_rec(pairs, 1) == kappa(n, 1) == b(n)
+
+
+def test_a_flipped_subset_sign_fails_verify_closedforms(monkeypatch, capsys):
+    def mutant(pairs, x):
+        """_kappa_rec with the sign of T = {both primes} flipped on two-prime n."""
+        total = prod((p**x - 1) * p ** (x * (e - 1)) for p, e in pairs)
+        for drop in product((0, 1), repeat=len(pairs)):
+            if any(drop):
+                lowered = tuple((p, e - d) for (p, e), d in zip(pairs, drop) if e > d)
+                sign = (-1) ** sum(drop)
+                if drop == (1, 1):
+                    sign = -sign
+                total -= sign * 2 * closedforms._kappa_rec(lowered, x)
+        return total
+
+    monkeypatch.setattr(closedforms, "_kappa_rec", cache(mutant))
+    code = cli.main(["verify", "closedforms", "100"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == cli.EXIT_VERIFY
+    assert out[0].startswith("FAIL count: recursion and closed form match the definition (")
+    assert out[1].startswith("FAIL sum: recursion matches the definition (")
+    assert all(line.startswith("PASS ") for line in out[2:-1])
+    assert out[-1] == "FAIL suite closedforms"
+
+
+def test_recursion_cache_holds_normalized_shapes_only():
+    # Keys carry every exponent >= 1, so a verify closedforms run caches the
+    # 13,525 normalized shapes it reaches, not their zero-exponent aliases.
+    closedforms._kappa_rec.cache_clear()
+    assert verify.run_suite("closedforms").passed
+    assert closedforms._kappa_rec.cache_info().currsize <= 13_525

@@ -300,6 +300,16 @@ def test_default_budget_admits_1e26_and_refuses_1e27():
         search_records(10**27)
 
 
+def test_budget_names_a_bound_past_the_decimal_digit_limit():
+    # str refuses integers of more than 4,300 digits; the guards still raise
+    # their own errors, naming such a bound by its bit length.
+    bound = 10**5000
+    with pytest.raises(BudgetError, match="^record search to a 16610-bit integer exceeded "):
+        search_records(bound)
+    with pytest.raises(OverflowError, match="^bound a 16610-bit integer exceeds "):
+        sieve_records(bound)
+
+
 def _walk_mismatches(facs):
     """The candidates whose carried a, b, d and sigma differ from the per-n evaluators."""
     mismatches = []

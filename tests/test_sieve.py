@@ -47,6 +47,15 @@ def test_overflow_guard_refuses_unsafe_bounds():
         check_budget(INT64_SAFE_LIMIT + 1, 1, max_memory=10**20)
 
 
+def test_overflow_guard_names_a_bound_past_the_decimal_digit_limit():
+    # str refuses integers of more than 4,300 digits, so the guard names them
+    # by bit length and still raises its own errors.
+    with pytest.raises(OverflowError, match="^bound a 16610-bit integer exceeds "):
+        a_array(10**5000)
+    with pytest.raises(ValueError, match="^limit must be >= 1, got a negative 16610-bit integer$"):
+        check_budget(-(10**5000), 1)
+
+
 def test_memory_guard_reports_footprint(monkeypatch):
     monkeypatch.setattr(sieve, "DEFAULT_MAX_MEMORY", 1000)
     with pytest.raises(MemoryGuardError, match="bytes"):

@@ -46,9 +46,7 @@ from .records import (
     tau_decompose,
 )
 from .tree import (
-    ArmDirection,
     DivisorTreeLayout,
-    PlacedSquare,
     SvgStyle,
     layout,
     self_overlap,
@@ -59,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_KINDS",
-    "ArmDirection",
     "B_closed",
     "B_from_A",
     "BudgetError",
@@ -67,7 +64,6 @@ __all__ = [
     "DivisorTreeLayout",
     "Factorization",
     "MemoryGuardError",
-    "PlacedSquare",
     "PrimePowerShape",
     "RecdivError",
     "RecordEntry",

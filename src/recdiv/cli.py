@@ -14,7 +14,7 @@ from typing import Iterable
 from . import formats, records, sieve, verify
 from .core import profile
 from .errors import BudgetError, MemoryGuardError
-from .tree import SvgStyle, layout, self_overlap, svg_chunks
+from .tree import DEFAULT_SQUARE_BUDGET, SvgStyle, layout, self_overlap, svg_chunks
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -134,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--margin", type=int, default=2)
     p_tree.add_argument("--no-shading", action="store_true")
     p_tree.add_argument("--check-overlap", action="store_true")
-    p_tree.add_argument("--budget", type=int, default=1_000_000, help="square-count budget")
+    p_tree.add_argument(
+        "--budget", type=int, default=DEFAULT_SQUARE_BUDGET, help="square-count budget"
+    )
     p_tree.set_defaults(func=cmd_tree)
 
     p_verify = sub.add_parser("verify", help="run a cross-check suite")

@@ -20,6 +20,10 @@ J_0(n) = 0 for n > 1 and J_1 = φ.  The three-prime b is this 7-term body, all
 of it sums of b (no mixed term); its gate is exact agreement with the per-n
 evaluator on the full verification grid.  The recursion takes any number of
 primes; shapes keep at most three for a_closed and B_closed.
+
+Each level of the recursion lowers Σe by at least one, so a shape with a large
+Σe would nest that many calls.  _kappa fills the cache from below first, in
+steps of _DEPTH_STEP in Σe, so no call nests deeper than one step.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb, prod
+from operator import itemgetter
 
 from .arith import factorize, is_prime
 from .core import divisor_lattice
@@ -118,9 +124,35 @@ def _kappa_rec(pairs: tuple[tuple[int, int], ...], x: int) -> int:
     return total
 
 
+# The most levels of Σe one _kappa_rec call descends before it meets cached shapes.
+_DEPTH_STEP = 100
+_exponent = itemgetter(1)
+
+
+def _kappa(pairs: tuple[tuple[int, int], ...], x: int) -> int:
+    """_kappa_rec(pairs, x), with the cache filled from below in steps of _DEPTH_STEP.
+
+    The recursion from pairs reaches every shape whose exponents are at most
+    pairs'.  Those with Σe a positive multiple s of the step are evaluated in
+    order of s; each finds every shape below it with Σe <= s - _DEPTH_STEP
+    cached, so it nests at most _DEPTH_STEP calls.  The cache ends holding the
+    same shapes as one direct call would.
+    """
+    total = sum(map(_exponent, pairs))
+    if total > _DEPTH_STEP:
+        levels = [
+            exps
+            for exps in product(*(range(e + 1) for _, e in pairs))
+            if sum(exps) % _DEPTH_STEP == 0 and 0 < sum(exps) < total
+        ]
+        for exps in sorted(levels, key=sum):
+            _kappa_rec(tuple((p, e) for (p, _), e in zip(pairs, exps) if e), x)
+    return _kappa_rec(pairs, x)
+
+
 def a_recursion(shape: PrimePowerShape) -> int:
     """Recursive-divisor count via the doubling recursion; prime-agnostic."""
-    return _kappa_rec(shape.normalized().pairs, 0)
+    return _kappa(shape.normalized().pairs, 0)
 
 
 def _a_closed_two(c: int, d: int) -> int:
@@ -149,7 +181,7 @@ def a_closed(shape: PrimePowerShape) -> int:
 
 def b_recursion(shape: PrimePowerShape) -> int:
     """Recursive-divisor sum via the same recursion at x = 1; needs concrete primes."""
-    return _kappa_rec(shape.normalized().pairs, 1)
+    return _kappa(shape.normalized().pairs, 1)
 
 
 def B_closed(shape: PrimePowerShape) -> Fraction:

@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .records import RecordKind, RecordTable, kind_names
+from .records import RecordEntry, RecordKind, RecordTable, kind_names
 
 
 class ExportFormat(Enum):
@@ -200,11 +200,29 @@ _RECORD_COLUMNS = (
 )
 
 
+def _record_values(e: RecordEntry) -> tuple:
+    """One entry's values in _RECORD_COLUMNS order; kinds is a list of names."""
+    return (
+        e.n,
+        str(e.factorization),
+        kind_names(e.kinds),
+        e.a,
+        e.b,
+        e.d,
+        e.sigma,
+        e.tau,
+        e.tau_cofactor,
+        rational_str(e.b_ratio),
+        rational_str(e.sigma_ratio),
+    )
+
+
 def format_records(table: RecordTable, fmt: ExportFormat) -> str:
     """Serialize a record table.
 
-    The b-file form holds a single sequence, so it requires the table to
-    have been searched for exactly one kind.
+    CSV and JSON share one value tuple per entry; CSV joins the kinds with
+    "|", JSON keeps them a list.  The b-file form holds a single sequence, so
+    it requires the table to have been searched for exactly one kind.
     """
     if fmt is ExportFormat.BFILE:
         single = [k for k in RecordKind if k in table.kinds]
@@ -212,30 +230,11 @@ def format_records(table: RecordTable, fmt: ExportFormat) -> str:
             raise ValueError("b-file export needs a table searched for exactly one kind")
         ns = table.numbers(single[0])
         return "\n".join(f"{i} {n}" for i, n in enumerate(ns, start=1)) + "\n"
+    rows = [_record_values(e) for e in table.entries]
     if fmt is ExportFormat.CSV:
         lines = [",".join(_RECORD_COLUMNS)]
-        for e in table.entries:
-            lines.append(
-                f"{e.n},{e.factorization},{'|'.join(kind_names(e.kinds))},"
-                f"{e.a},{e.b},{e.d},{e.sigma},{e.tau},{e.tau_cofactor},"
-                f"{rational_str(e.b_ratio)},{rational_str(e.sigma_ratio)}"
-            )
+        for values in rows:
+            cells = ("|".join(v) if isinstance(v, list) else str(v) for v in values)
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
-    rows = []
-    for e in table.entries:
-        rows.append(
-            {
-                "n": e.n,
-                "factorization": str(e.factorization),
-                "kinds": kind_names(e.kinds),
-                "a": e.a,
-                "b": e.b,
-                "d": e.d,
-                "sigma": e.sigma,
-                "tau": e.tau,
-                "tau_cofactor": e.tau_cofactor,
-                "b_over_n": rational_str(e.b_ratio),
-                "sigma_over_n": rational_str(e.sigma_ratio),
-            }
-        )
-    return json.dumps(rows, indent=2) + "\n"
+    return json.dumps([dict(zip(_RECORD_COLUMNS, values)) for values in rows], indent=2) + "\n"

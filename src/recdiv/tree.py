@@ -14,9 +14,8 @@ the travel direction lands on the predecessor's corner pointing along it
 A layout is one ``rows`` array with one ``(side, x, y, depth)`` row per
 square, in preorder: a square, then the subtree of each square on its arm,
 largest first.  The root seeds NE and each level turns once
-counter-clockwise, so a square's arm direction is
-``(NE, NW, SW, SE)[depth % 4]`` and is not stored.  ``squares`` builds a
-``PlacedSquare`` from a row only when it is read.
+counter-clockwise, so the arm a square seeds points
+``("NE", "NW", "SW", "SE")[depth % 4]``; no direction is stored.
 
 A block is the subtree of side m seeded in direction k, placed relative to
 its own root.  Its rows depend only on (m, k), so ``layout`` builds each
@@ -37,9 +36,7 @@ coordinate of some block.  The side column sums to b(n) itself.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 import numpy as np
@@ -57,76 +54,19 @@ DEFAULT_SQUARE_BUDGET = 1_000_000
 PAIR_BLOCK = 1 << 15
 
 
-class ArmDirection(Enum):
-    NE = "NE"
-    NW = "NW"
-    SW = "SW"
-    SE = "SE"
-
-    def rotated_ccw(self) -> "ArmDirection":
-        return _DIRECTIONS[(_DIRECTIONS.index(self) + 1) % 4]
-
-
-# The arm direction seeded at depth d is _DIRECTIONS[d % 4].
-_DIRECTIONS = tuple(ArmDirection)
-
-
-@dataclass(frozen=True, slots=True)
-class PlacedSquare:
-    """A square in the y-up plane; (x, y) is its lower-left corner.
-
-    arm_direction is the direction of the arm this square seeds, i.e. where
-    its own proper-divisor squares extend; the root seeds the main arm NE.
-    """
-
-    side: int
-    x: int
-    y: int
-    depth: int
-    arm_direction: ArmDirection
-
-
-def _square(row: list[int]) -> PlacedSquare:
-    side, x, y, depth = row
-    return PlacedSquare(side, x, y, depth, _DIRECTIONS[depth % 4])
-
-
-class SquareView(Sequence):
-    """The squares of a layout, each built from its row when read."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: np.ndarray) -> None:
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        picked = self._rows[index]
-        if picked.ndim == 1:
-            return _square(picked.tolist())
-        return tuple(map(_square, picked.tolist()))
-
-    def __iter__(self) -> Iterator[PlacedSquare]:
-        return map(_square, self._rows.tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class DivisorTreeLayout:
     """A layout's rows, one (side, x, y, depth) per square in preorder.
 
-    rows is read-only. Layouts compare by identity; compare their rows with
-    numpy.array_equal.
+    (x, y) is a square's lower-left corner in the y-up plane.  rows is the
+    only view of the squares: the main arm is ``rows[rows[:, 3] <= 1]``, and
+    ``rows.tolist()`` gives plain lists.  rows is read-only.  Layouts compare
+    by identity; compare their rows with numpy.array_equal.
     """
 
     n: int
     rows: np.ndarray
     bounding_box: tuple[int, int, int, int]  # (min_x, min_y, max_x, max_y)
-
-    @property
-    def squares(self) -> SquareView:
-        return SquareView(self.rows)
 
     @property
     def square_count(self) -> int:
@@ -135,10 +75,6 @@ class DivisorTreeLayout:
     @property
     def side_sum(self) -> int:
         return int(self.rows[:, 0].sum())
-
-    def main_arm(self) -> list[PlacedSquare]:
-        """Root plus its direct arm: the squares at depth <= 1."""
-        return [_square(row) for row in self.rows[self.rows[:, 3] <= 1].tolist()]
 
 
 def _attach(k: int, px: int, py: int, pside: int, side: int) -> tuple[int, int]:
@@ -259,9 +195,9 @@ class SvgStyle:
     stroke_width: float = 1.0
     margin: int = 2
     shade_by_depth: bool = True
-    stroke: str = "#222222"
 
 
+_STROKE = "#222222"
 _RECT = '  <rect x="%d" y="%d" width="%d" height="%d" %s\n'
 
 
@@ -282,7 +218,7 @@ def svg_chunks(tree: DivisorTreeLayout, style: SvgStyle | None = None) -> Iterat
     levels = [255 - 16 * depth if style.shade_by_depth else 255 for depth in range(8)]
     tails = np.array(
         [
-            f'fill="#{v:02x}{v:02x}{v:02x}" stroke="{style.stroke}" '
+            f'fill="#{v:02x}{v:02x}{v:02x}" stroke="{_STROKE}" '
             f'stroke-width="{style.stroke_width}"/>'
             for v in levels
         ],

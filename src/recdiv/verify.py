@@ -308,12 +308,12 @@ def verify_trees(limit: int = 500) -> SuiteReport:
     for n in range(1, limit + 1):
         tree = layout(n)
         fac = factorize(n)
-        arm = tree.main_arm()
+        arm = tree.rows[tree.rows[:, 3] <= 1, 0]
         ok = (
             tree.square_count == a(n)
             and tree.side_sum == b(n)
             and len(arm) == d_of(fac)
-            and sum(s.side for s in arm) == sigma_of(fac)
+            and int(arm.sum()) == sigma_of(fac)
         )
         identities.tally(ok, lambda: f"n={n}: ({tree.square_count}, {tree.side_sum}) counts")
 

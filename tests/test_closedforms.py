@@ -257,3 +257,30 @@ def test_recursion_cache_holds_normalized_shapes_only():
     closedforms._kappa_rec.cache_clear()
     assert verify.run_suite("closedforms").passed
     assert closedforms._kappa_rec.cache_info().currsize <= 13_525
+
+
+def test_recursion_reaches_large_exponents_on_a_fresh_cache():
+    # Each level lowers Σe by one, so a direct recursion from 2^2000 would nest
+    # 2000 calls.  a(2^c) = 2^c, and B(2^c) = (c + 2)/2 gives b = 2^(c-1)·(c + 2).
+    closedforms._kappa_rec.cache_clear()
+    assert b_recursion(shape((2, 2000))) == 2**1999 * 2002
+    assert a_recursion(shape((2, 2000))) == 2**2000
+
+
+def test_recursion_reaches_a_large_two_prime_shape():
+    # Lowering only the 3 reaches 2^1500 in two levels, whose direct
+    # recursion would nest 1500 calls.
+    closedforms._kappa_rec.cache_clear()
+    s = shape((2, 1500), (3, 2))
+    assert b_recursion(s) == B_closed(s) * s.n
+    assert a_recursion(s) == a_closed(s)
+
+
+def test_filling_from_below_caches_what_the_direct_recursion_does():
+    pairs = ((2, 245), (3, 5))  # Σe = 250: shallow enough to recurse directly
+    closedforms._kappa_rec.cache_clear()
+    direct = closedforms._kappa_rec(pairs, 1)
+    entries = closedforms._kappa_rec.cache_info().currsize
+    closedforms._kappa_rec.cache_clear()
+    assert b_recursion(shape(*pairs)) == direct == b(2**245 * 3**5)
+    assert closedforms._kappa_rec.cache_info().currsize == entries == 246 * 6

@@ -143,6 +143,8 @@ def test_records_csv():
     row_96 = next(line for line in lines if line.startswith("96,"))
     assert "2^5 * 3" in row_96
     assert "8/1" in row_96  # b(96)/96 serialized exactly
+    # a(48) = 96 = 6·2^4, 4 the largest exponent of 48; b(48) = 304, d = 10, σ = 124.
+    assert "48,2^4 * 3,RHC|RSA|HC|SA,96,304,10,124,4,6,19/3,31/12" in lines
 
 
 def test_records_json():

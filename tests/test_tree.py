@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recdiv import (
-    ArmDirection,
     BudgetError,
     SvgStyle,
     a,
@@ -25,7 +24,7 @@ from recdiv import tree as tree_module
 from recdiv.arith import is_prime, proper_divisors
 from recdiv.cli import main
 from recdiv.formats import CHUNK
-from recdiv.tree import DivisorTreeLayout, PlacedSquare
+from recdiv.tree import DivisorTreeLayout
 
 M89 = 2**89 - 1  # a Mersenne prime: trees of its multiples have coordinates past 2**63
 
@@ -35,91 +34,93 @@ def rect_count(svg_text: str) -> int:
     return sum(1 for el in doc.iter() if el.tag.endswith("rect"))
 
 
-def brute_force_overlaps(tree):
+ReferenceLayout = namedtuple("ReferenceLayout", "squares bounding_box")
+
+
+def as_reference(tree):
+    """A layout as the oracles' form: one (side, x, y, depth) tuple per square."""
+    return ReferenceLayout([tuple(row) for row in tree.rows.tolist()], tree.bounding_box)
+
+
+def brute_force_overlaps(reference):
     """Independent oracle: test every pair of open squares directly."""
-    squares = tuple(tree.squares)
+    squares = reference.squares
     pairs = []
-    for i in range(len(squares)):
+    for i, (si, xi, yi, _) in enumerate(squares):
         for j in range(i + 1, len(squares)):
-            si, sj = squares[i], squares[j]
-            if (
-                si.x < sj.x + sj.side
-                and sj.x < si.x + si.side
-                and si.y < sj.y + sj.side
-                and sj.y < si.y + si.side
-            ):
+            sj, xj, yj, _ = squares[j]
+            if xi < xj + sj and xj < xi + si and yi < yj + sj and yj < yi + si:
                 pairs.append((i, j))
     return pairs
 
 
-def sweep_overlaps(tree):
-    """Oracle: the x-sorted sweep over PlacedSquares that self_overlap vectorises."""
-    squares = tuple(tree.squares)
-    order = sorted(range(len(squares)), key=lambda i: squares[i].x)
+def sweep_overlaps(reference):
+    """Oracle: the x-sorted sweep over square tuples that self_overlap vectorises."""
+    squares = reference.squares
+    order = sorted(range(len(squares)), key=lambda i: squares[i][1])
     pairs = []
     for pos, i in enumerate(order):
-        si = squares[i]
-        x_limit = si.x + si.side
+        si, xi, yi, _ = squares[i]
         for q in range(pos + 1, len(order)):
             j = order[q]
-            sj = squares[j]
-            if sj.x >= x_limit:
+            sj, xj, yj, _ = squares[j]
+            if xj >= xi + si:
                 break
-            if si.y < sj.y + sj.side and sj.y < si.y + si.side:
+            if yi < yj + sj and yj < yi + si:
                 pairs.append((i, j) if i < j else (j, i))
     pairs.sort()
     return pairs
 
 
-ReferenceLayout = namedtuple("ReferenceLayout", "squares bounding_box")
-
-
 def per_square_layout(n):
-    """Reference layout: one recursive call and one proper_divisors call per square."""
+    """Reference layout: one recursive call and one proper_divisors call per square.
 
-    def attach(direction, px, py, pside, side):
-        if direction is ArmDirection.NE:
+    The arm direction k counts quarter turns from NE (0 NE, 1 NW, 2 SW, 3 SE);
+    each square seeds its arm one turn on from the arm it sits on.
+    """
+
+    def attach(k, px, py, pside, side):
+        if k == 0:
             return px + pside, py + pside
-        if direction is ArmDirection.NW:
+        if k == 1:
             return px - side, py + pside
-        if direction is ArmDirection.SW:
+        if k == 2:
             return px - side, py - side
         return px + pside, py - side
 
-    def place(side_len, x, y, depth, direction, out):
-        out.append(PlacedSquare(side_len, x, y, depth, direction))
-        child_direction = direction.rotated_ccw()
+    def place(side_len, x, y, depth, k, out):
+        out.append((side_len, x, y, depth))
         px, py, pside = x, y, side_len
         for m in reversed(proper_divisors(side_len)):
-            cx, cy = attach(direction, px, py, pside, m)
-            place(m, cx, cy, depth + 1, child_direction, out)
+            cx, cy = attach(k, px, py, pside, m)
+            place(m, cx, cy, depth + 1, (k + 1) % 4, out)
             px, py, pside = cx, cy, m
 
     squares = []
-    place(n, 0, 0, 0, ArmDirection.NE, squares)
+    place(n, 0, 0, 0, 0, squares)
     box = (
-        min(s.x for s in squares),
-        min(s.y for s in squares),
-        max(s.x + s.side for s in squares),
-        max(s.y + s.side for s in squares),
+        min(x for _, x, _, _ in squares),
+        min(y for _, _, y, _ in squares),
+        max(x + side for side, x, _, _ in squares),
+        max(y + side for side, _, y, _ in squares),
     )
-    return ReferenceLayout(tuple(squares), box)
+    return ReferenceLayout(squares, box)
 
 
-def per_rect_svg(tree, style):
+def per_rect_svg(reference, style):
     """Reference rendering: format each rect's fill and style in full."""
-    min_x, min_y, max_x, max_y = tree.bounding_box
+    min_x, min_y, max_x, max_y = reference.bounding_box
     m = style.margin
     view_box = f"{min_x - m} {-max_y - m} {(max_x - min_x) + 2 * m} {(max_y - min_y) + 2 * m}"
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view_box}">',
     ]
-    for s in tree.squares:
-        level = 255 - 16 * min(s.depth, 7) if style.shade_by_depth else 255
+    for side, x, y, depth in reference.squares:
+        level = 255 - 16 * min(depth, 7) if style.shade_by_depth else 255
         lines.append(
-            f'  <rect x="{s.x}" y="{-(s.y + s.side)}" width="{s.side}" height="{s.side}" '
-            f'fill="#{level:02x}{level:02x}{level:02x}" stroke="{style.stroke}" '
+            f'  <rect x="{x}" y="{-(y + side)}" width="{side}" height="{side}" '
+            f'fill="#{level:02x}{level:02x}{level:02x}" stroke="#222222" '
             f'stroke-width="{style.stroke_width}"/>'
         )
     lines.append("</svg>")
@@ -129,16 +130,13 @@ def per_rect_svg(tree, style):
 def test_unit_layout():
     tree = layout(1)
     assert tree.square_count == 1
-    (square,) = tree.squares
-    assert (square.side, square.x, square.y, square.depth) == (1, 0, 0, 0)
-    assert square.arm_direction == ArmDirection.NE
-    assert tree.bounding_box == (0, 0, 1, 1)
+    assert as_reference(tree) == ([(1, 0, 0, 0)], (0, 0, 1, 1))
 
 
 def test_layout_of_six():
     tree = layout(6)
     assert tree.square_count == 6
-    assert Counter(s.side for s in tree.squares) == {6: 1, 3: 1, 2: 1, 1: 3}
+    assert Counter(tree.rows[:, 0].tolist()) == {6: 1, 3: 1, 2: 1, 1: 3}
     assert tree.side_sum == 14
 
 
@@ -150,21 +148,20 @@ def test_layout_of_ninety_six():
 
 def test_main_arm_counts_plain_divisors():
     tree = layout(10)
-    arm = tree.main_arm()
-    assert sorted(s.side for s in arm) == [1, 2, 5, 10]
+    arm = tree.rows[tree.rows[:, 3] <= 1, 0].tolist()
+    assert sorted(arm) == [1, 2, 5, 10]
     assert len(arm) == d(10)
-    assert sum(s.side for s in arm) == sigma(10)
+    assert sum(arm) == sigma(10)
 
 
 def test_root_seeds_northeast_and_children_rotate():
     tree = layout(10)
-    root = tree.squares[0]
-    assert root.arm_direction == ArmDirection.NE
-    first_child = tree.squares[1]
-    assert first_child.depth == 1
-    assert first_child.arm_direction == ArmDirection.NW
-    # Kitty-corner: the child's lower-left corner on the root's upper-right.
-    assert (first_child.x, first_child.y) == (10, 10)
+    root, child, grandchild = tree.rows[:3].tolist()
+    assert root == [10, 0, 0, 0]
+    # Kitty-corner NE: the child's lower-left corner on the root's upper-right.
+    assert child == [5, 10, 10, 1]
+    # One turn on, NW: the grandchild's lower-right corner on the child's upper-left.
+    assert grandchild == [1, 9, 15, 2]
 
 
 def test_layout_deterministic():
@@ -179,9 +176,8 @@ def test_budget_reports_square_count():
 
 
 def test_all_coordinates_are_integers():
-    for square in layout(60).squares:
-        assert isinstance(square.x, int) and isinstance(square.y, int)
-        assert isinstance(square.side, int)
+    for row in layout(60).rows.tolist():
+        assert all(isinstance(value, int) for value in row)
 
 
 @given(st.integers(1, 400))
@@ -190,9 +186,9 @@ def test_counting_identities(n):
     tree = layout(n)
     assert tree.square_count == a(n)
     assert tree.side_sum == b(n)
-    arm = tree.main_arm()
+    arm = tree.rows[tree.rows[:, 3] <= 1, 0]
     assert len(arm) == d(n)
-    assert sum(s.side for s in arm) == sigma(n)
+    assert int(arm.sum()) == sigma(n)
 
 
 def test_overlap_trivial_cases():
@@ -203,14 +199,14 @@ def test_overlap_trivial_cases():
 
 def test_overlap_matches_brute_force_on_24():
     tree = layout(24)
-    assert self_overlap(tree) == brute_force_overlaps(tree)
+    assert self_overlap(tree) == brute_force_overlaps(as_reference(tree))
 
 
 @given(st.integers(1, 300))
 @settings(max_examples=80, deadline=None)
 def test_overlap_sweep_matches_brute_force(n):
     tree = layout(n)
-    assert self_overlap(tree) == brute_force_overlaps(tree)
+    assert self_overlap(tree) == brute_force_overlaps(as_reference(tree))
 
 
 @pytest.mark.parametrize("n", [1, 12, 4608, 6 * M89])
@@ -228,9 +224,7 @@ def test_layout_factors_n_once(monkeypatch, n):
     tree = layout(n)
     assert seen == [n]
     monkeypatch.undo()
-    reference = per_square_layout(n)
-    assert tuple(tree.squares) == reference.squares
-    assert tree.bounding_box == reference.bounding_box
+    assert as_reference(tree) == per_square_layout(n)
 
 
 def test_overlap_scan_is_linear_in_disjoint_squares():
@@ -267,7 +261,7 @@ def test_overlap_pair_counts_of_large_trees(n, pairs):
     found = self_overlap(tree)
     assert len(found) == pairs
     # 11520 has 5.3 M candidate pairs: many blocks of the vectorised scan.
-    assert found == sweep_overlaps(tree)
+    assert found == sweep_overlaps(as_reference(tree))
 
 
 @pytest.mark.parametrize(
@@ -277,14 +271,14 @@ def test_overlap_pair_counts_of_large_trees(n, pairs):
 )
 def test_svg_matches_per_rect_rendering(style):
     tree = layout(1536)  # 2^9 * 3: depths up to 10, past the darkest shade at 7
-    assert max(s.depth for s in tree.squares) > 7
-    assert to_svg(tree, style) == per_rect_svg(tree, style)
+    assert tree.rows[:, 3].max() > 7
+    assert to_svg(tree, style) == per_rect_svg(as_reference(tree), style)
 
 
 def test_svg_matches_per_rect_rendering_across_chunks():
     tree = layout(4608)  # 38,912 rects: three chunks of svg_chunks
     assert tree.square_count > 2 * CHUNK
-    assert to_svg(tree) == per_rect_svg(tree, SvgStyle())
+    assert to_svg(tree) == per_rect_svg(as_reference(tree), SvgStyle())
 
 
 @pytest.mark.parametrize("n", [M89, 6 * M89, 12 * M89], ids=["p", "6p", "12p"])
@@ -292,8 +286,7 @@ def test_layout_past_int64_matches_per_square_oracles(n):
     tree = layout(n)
     reference = per_square_layout(n)
     assert tree.rows.dtype == object  # n * a(n) >= 2**63
-    assert tuple(tree.squares) == reference.squares
-    assert tree.bounding_box == reference.bounding_box
+    assert as_reference(tree) == reference
     for style in (SvgStyle(), SvgStyle(shade_by_depth=False, stroke_width=0.5, margin=0)):
         assert to_svg(tree, style) == per_rect_svg(reference, style)
     assert self_overlap(tree) == brute_force_overlaps(reference)
@@ -306,7 +299,7 @@ def test_rows_are_int64_exactly_below_the_bound():
     for n, dtype in ((below, np.int64), (above, object)):
         tree = layout(n)
         assert tree.rows.dtype == dtype
-        assert tuple(tree.squares) == per_square_layout(n).squares
+        assert as_reference(tree) == per_square_layout(n)
         assert tree.bounding_box == (0, 0, n + 1, n + 1)
     assert layout(11520).rows.dtype == np.int64
 
@@ -326,17 +319,6 @@ def test_tree_cli_bytes_past_int64(tmp_path, capsys):
     assert capsys.readouterr() == (summary.splitlines(keepends=True)[0], "")
     style = SvgStyle(shade_by_depth=False, stroke_width=0.5, margin=0)
     assert path.read_bytes() == per_rect_svg(reference, style).encode()
-
-
-def test_squares_view_indexes_like_a_tuple():
-    tree = layout(24)
-    reference = per_square_layout(24).squares
-    assert len(tree.squares) == len(reference)
-    assert tree.squares[-1] == reference[-1]
-    assert tree.squares[3:9] == reference[3:9]
-    assert tree.main_arm() == [s for s in reference if s.depth <= 1]
-    with pytest.raises(IndexError):
-        tree.squares[len(reference)]
 
 
 def test_svg_rect_counts():

@@ -1,10 +1,10 @@
 """Recursions and explicit formulas over one- to three-prime shapes.
 
-Everything here except B_from_A is derived independently of the evaluators in
-core.py, precisely so the two routes can be cross-checked against each other.
-B_from_A sums counts over n's divisors with the walk that core.a_sized uses,
-each count from the x = 0 per-prime form; it shares nothing with the x = 1
-per-prime sums that give core.b, which lists no divisor.
+Everything here except b_from_counts and B_from_A is derived independently of
+the evaluators in core.py, precisely so the two routes can be cross-checked
+against each other.  Those two sum counts over n's divisors with the walk that
+core.a_sized uses, each count from MacMahon's formula; they share nothing with
+the per-prime sums stepped in m that give core.b, which list no divisor.
 
 The paper's recursions for a and b on p^c, p^c q^d and p^c q^d r^e are one
 identity.  With F = kappa(., x), id_x: n -> n^x, δ the Dirichlet unit, μ the
@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .arith import factorize, is_prime
 from .core import divisor_lattice
@@ -220,15 +220,16 @@ def B_closed(shape: PrimePowerShape) -> Fraction:
     return Fraction(denominator + scaled, 2 * denominator)
 
 
-def B_from_A(n: int) -> Fraction:
-    """b(n)/n computed from recursive-divisor counts over the divisors of n.
+def b_from_counts(n: int) -> int:
+    """b(n) as Σ_{d|n} d · g(n/d), summed over n's divisor lattice.
 
-    B(n) = 1/2 + Σ_{m|n} a(m)/(2m).  One walk over n's divisor lattice gives
-    each m = n/d with g(m); a(m) = 2 g(m), except a(1) = 1 at d = n.  Over the
-    common denominator n, the term of m is a(m)·d, so B(n) is one Fraction
-    (n + Σ a(m)·d) / (2n).
+    B(n) = 1/2 + Σ_{m|n} a(m)/(2m) with a(m) = 2 g(m) for m > 1 and
+    a(1) = 1 is Σ_{m|n} g(m)/m, so n·B(n) is this sum: the divisors times
+    their cached g-column.
     """
-    numerator = sum(
-        (2 * count if d < n else 1) * d for d, count in divisor_lattice(factorize(n))
-    )
-    return Fraction(n + numerator, 2 * n)
+    return sum(map(mul, *divisor_lattice(factorize(n))))
+
+
+def B_from_A(n: int) -> Fraction:
+    """b(n)/n computed from recursive-divisor counts over the divisors of n."""
+    return Fraction(b_from_counts(n), n)

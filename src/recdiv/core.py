@@ -43,9 +43,40 @@ Taking the d = 1 term apart (g(1) = 1),
     kappa(n, x) = n^x + Σ_{m=1}^{Ω} c_m · (Π_k T_k(m) − n^x),
     c_m = Σ_{j=m}^{Ω} (−1)^{j−m} C(j, m).
 
-That costs O(Ω · Σ E_k) integer operations and lists no divisor.  T_k(m) is
-evaluated by Horner's rule in p_k^x; at x = 0 it is C(E_k + m, E_k).  The
-coefficients c depend only on Ω ≤ log2(n) and take O(Ω) steps: summing
+No divisor is listed.  Each T_k is stepped in m, not in e.  Drop the index
+k, write q = p^x and E for the exponent, and T_m(E) for T(m).  Two rules
+relate neighbouring sums:
+
+    Horner's rule:  T_m(E) = q · T_m(E − 1) + C(E + m − 1, E),
+    Pascal's rule:  T_m(E) − T_{m−1}(E) = T_m(E − 1),
+
+the second from C(e + m − 1, e) − C(e + m − 2, e) = C(e + m − 2, e − 1).
+Eliminating T_m(E − 1) gives
+
+    (q − 1) · T_m(E) = q · T_{m−1}(E) − C(E + m − 1, E),   T_0(E) = q^E,
+
+and the division is exact for q > 1.  At x = 0, q = 1 and the sum is
+C(E + m, E) = C(E + m − 1, E) · (E + m)/m, which is also the binomial that
+the step for q > 1 needs at m + 1.  Either way a prime costs one multiply
+and one exact divide per m, and its column T(1), ..., T(Ω) costs Ω steps,
+so the sums cost O(Ω · k) integer operations for k distinct primes.  Then
+Π_k T_k(m) is multiplied out for every m.  Summed over m first,
+Σ_{m=1}^{j} (−1)^{j−m} C(j, m) = (−1)^{j+1}, so Σ_m c_m is Ω mod 2 and
+
+    kappa(n, x) = n^x · (1 − Ω mod 2) + Σ_{m=1}^{Ω} c_m Π_k T_k(m).
+
+The record search (records.py) steps the same sums in e, down its walk, and
+profile cross-checks each record entry against this route.
+
+The work is bounded for n of up to 4,300 digits, the most an int parses from
+text by default, so n < 10^4300.  For k primes Ω is largest when n is
+2^(Ω−k+1) times the first k − 1 odd primes, so Ω · k is at most 5,265,040, at
+2^7039 times the odd primes to 5,101 (Ω = 7,720, k = 682).  a and b of that n
+take about 5.5 s together on 2 CPUs, and of 2^14284, the largest Ω, about
+3.5 s; factoring is bounded apart, by arith.RHO_BUDGET.  tests/test_core.py
+pins the bound and the time of b.
+
+The coefficients c depend only on Ω ≤ log2(n) and take O(Ω) steps: summing
 C(j, m) = C(j + 1, m + 1) − C(j, m + 1) over j gives c_{m+1} plus
 (−1)^{Ω−m} C(Ω + 1, m + 1) from the first term and −c_{m+1} from the second, so
 
@@ -53,7 +84,7 @@ C(j, m) = C(j + 1, m + 1) − C(j, m + 1) over j gives c_{m+1} plus
 
 each binomial from the last by one multiply and one exact divide.  The
 divisor walk survives only where one value per divisor is the output
-(a_sized, closedforms.B_from_A).
+(a_sized, and closedforms.b_from_counts behind B_from_A).
 There g of each cofactor n/d > 1, with exponents r_k, is MacMahon's sum
 Σ_m c_m Π_k C(r_k + m − 1, r_k) with the same c_m, since j may run to Ω(n).
 That column of g(n/d) depends only on n's ordered exponent tuple, so it is
@@ -80,6 +111,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, prod
+from operator import itemgetter, mul
 
 # proper_divisors stays importable for perfbench's tracer, which counts calls
 # to recdiv.core.proper_divisors; nothing in this module makes one.
@@ -92,6 +124,8 @@ TUPLE_BUDGET = 1_000_000
 # Most g-columns _g_column keeps, one per ordered exponent tuple.  n <= 10^5
 # has 351 such tuples and n <= 2.5·10^6, the larger verify budget, has 1,061.
 G_COLUMN_CACHE = 2048
+
+_exponent = itemgetter(1)
 
 
 @cache
@@ -106,31 +140,48 @@ def _coefficients(omega: int) -> tuple[int, ...]:
     return tuple(reversed(coefficients))
 
 
-def _prime_sum(q: int, e: int, m: int) -> int:
-    """T(m) = Σ_{k=0}^{e} C(k + m − 1, k) · q^(e − k), by Horner's rule in q = p^x."""
-    t = binom = 1
-    for k in range(1, e + 1):
-        binom = binom * (k + m - 1) // k
-        t = t * q + binom
-    return t
-
-
 def _kappa_of(fac: Factorization, x: int) -> int:
-    """kappa(n, x) for n = fac.n from the per-prime sums; no divisor is listed."""
-    pairs = [(p**x, e) for p, e in fac.pairs]
-    n_x = prod(q**e for q, e in pairs)
-    total = n_x
-    for m, c in enumerate(_coefficients(fac.omega), start=1):
-        if x == 0:
-            product = prod(comb(e + m, e) for _, e in pairs)
+    """kappa(n, x) for n = fac.n from the per-prime sums stepped in m; no divisor is listed.
+
+    Each prime's column T(1), ..., T(Ω) starts from T(0) = q^e, q = p^x, and
+    count = C(e + m − 1, e), which is T(m − 1) at x = 0.  Columns are built
+    in increasing order of exponent and merged like a binary counter, two of
+    equal weight at a time: most multiplies are then of small integers, the
+    large column of a high power meets the others last, and at most
+    log2(k) + 1 columns are held at once.
+    """
+    omega = fac.omega
+    steps = range(1, omega + 1)
+    n_x = 1
+    pending: list[tuple[int, list[int]]] = []
+    for p, e in sorted(fac.pairs, key=_exponent):
+        column = []
+        count = 1
+        if x:
+            q = p**x
+            t = q**e
+            n_x *= t
+            for m in steps:
+                t = (q * t - count) // (q - 1)
+                column.append(t)
+                count = count * (e + m) // m
         else:
-            product = prod(_prime_sum(q, e, m) for q, e in pairs)
-        total += c * (product - n_x)
-    return total
+            for m in steps:
+                count = count * (e + m) // m
+                column.append(count)
+        weight = 1
+        while pending and pending[-1][0] == weight:
+            column = list(map(mul, pending.pop()[1], column))
+            weight *= 2
+        pending.append((weight, column))
+    products = pending.pop()[1] if pending else []
+    for _, column in reversed(pending):
+        products = list(map(mul, products, column))
+    return n_x * (1 - omega % 2) + sum(map(mul, _coefficients(omega), products))
 
 
-def divisor_lattice(fac: Factorization) -> list[tuple[int, int]]:
-    """(d, g(n/d)) for every divisor d of n = fac.n, d = 1 first and n last.
+def divisor_lattice(fac: Factorization) -> tuple[list[int], tuple[int, ...]]:
+    """Every divisor d of n = fac.n, d = 1 first and n last, and the g(n/d) column.
 
     Divisors are listed in mixed radix over fac.pairs, the last prime
     fastest; the g(n/d) column in the same order depends only on the
@@ -140,7 +191,7 @@ def divisor_lattice(fac: Factorization) -> list[tuple[int, int]]:
     for p, e in fac.pairs:
         powers = [p**c for c in range(e + 1)]
         divisors = [d * power for d in divisors for power in powers]
-    return list(zip(divisors, _g_column(tuple(e for _, e in fac.pairs))))
+    return divisors, _g_column(tuple(e for _, e in fac.pairs))
 
 
 @lru_cache(maxsize=G_COLUMN_CACHE)
@@ -247,7 +298,7 @@ def a_sized(n: int) -> SizedCountTable:
     The count of size k is g(n/k), read off n's divisor lattice.
     """
     fac = factorize(n)
-    table = SizedCountTable(n, dict(sorted(divisor_lattice(fac))))
+    table = SizedCountTable(n, dict(sorted(zip(*divisor_lattice(fac)))))
     if table.count(n) != 1:
         raise AssertionError(f"size table of {n} lost its root entry")
     want = _kappa_of(fac, 0)

@@ -162,23 +162,35 @@ def verify_lemmas(limit: int = 5000) -> SuiteReport:
     return SuiteReport("lemmas", [halves, scaled, doubling])
 
 
-def shape_grid():
-    """Ordered prime-power shapes over the verification grid, n <= GRID_MAX_N.
+def _grid_cases():
+    """(n, exponents, shape) for every shape of shape_grid, in its order.
 
     GRID_PRIMES are proven prime once, and permutations keep each shape's
     primes distinct, so shapes are built through PrimePowerShape._proven
-    without the constructor's checks.  n is computed from the primes and
-    exponents first, so a shape past the bound is never built.
+    without the constructor's checks.  Each prime has one table of its
+    (e, p^e) for e = 1..GRID_MAX_EXPONENT, and n is the product of the chosen
+    powers, so a shape past the bound is never built.  The last prime's
+    exponent runs fastest.
     """
     composite = [p for p in GRID_PRIMES if not is_prime(p)]
     if composite:
         raise ValueError(f"GRID_PRIMES holds non-primes: {composite}")
+    powers = {p: [(e, p**e) for e in range(1, GRID_MAX_EXPONENT + 1)] for p in GRID_PRIMES}
     for count in (1, 2, 3):
         for primes in permutations(GRID_PRIMES, count):
-            for exps in product(range(1, GRID_MAX_EXPONENT + 1), repeat=count):
-                pairs = tuple(zip(primes, exps))
-                if prod(p**e for p, e in pairs) <= GRID_MAX_N:
-                    yield closedforms.PrimePowerShape._proven(pairs)
+            for chosen in product(*map(powers.__getitem__, primes)):
+                exponents, factors = zip(*chosen)
+                n = prod(factors)
+                if n <= GRID_MAX_N:
+                    yield n, exponents, closedforms.PrimePowerShape._proven(
+                        tuple(zip(primes, exponents))
+                    )
+
+
+def shape_grid():
+    """Ordered prime-power shapes over the verification grid, n <= GRID_MAX_N."""
+    for _, _, shape in _grid_cases():
+        yield shape
 
 
 def verify_closedforms(limit: int = 10_000) -> SuiteReport:
@@ -198,12 +210,10 @@ def verify_closedforms(limit: int = 10_000) -> SuiteReport:
     ratio_closed = CheckResult("ratio closed form matches the definition (1-2 primes)")
     definition: dict[int, tuple[int, int]] = {}
     counts: dict[tuple[int, ...], tuple[int, int]] = {}
-    for shape in shape_grid():
-        n = shape.n
+    for n, exponents, shape in _grid_cases():
         if n not in definition:
             definition[n] = (a(n), b(n))
         want_a, want_b = definition[n]
-        exponents = shape.exponents
         if exponents not in counts:
             counts[exponents] = (closedforms.a_recursion(shape), closedforms.a_closed(shape))
         got_rec, got_closed = counts[exponents]
@@ -235,12 +245,17 @@ def verify_closedforms(limit: int = 10_000) -> SuiteReport:
             primorial *= GRID_PRIMES[k - 1] if k <= 6 else 17
         distinct.tally(value == a(primorial), lambda: f"k={k}: {value} != a({primorial})")
 
+    # n·B_from_A(n) is b_from_counts(n), so the ratio is checked as exact
+    # integers against the sieved sums.  item() reads one as a Python int
+    # without a list of them all, which would be about 90 MB at the budget.
     from_counts = CheckResult("ratio from counts matches the sum for all n up to the limit")
-    b_arr = sieve.b_array(limit)
+    sums = sieve.b_array(limit)
     for n in range(1, limit + 1):
-        got = closedforms.B_from_A(n)
-        want = Fraction(int(b_arr[n]), n)
-        from_counts.tally(got == want, lambda: f"n={n}: {got} != {want}")
+        got = closedforms.b_from_counts(n)
+        want = sums.item(n)
+        from_counts.tally(
+            got == want, lambda: f"n={n}: {Fraction(got, n)} != {Fraction(want, n)}"
+        )
     return SuiteReport(
         "closedforms", [count_routes, sum_routes, ratio_closed, distinct, from_counts]
     )

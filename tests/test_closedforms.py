@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from math import comb, prod
 
 import pytest
@@ -137,6 +137,27 @@ def test_shape_grid_proves_its_primes_once(monkeypatch):
     assert grid == [PrimePowerShape(s.pairs) for s in grid]
 
 
+def permuted_grid():
+    """Oracle: the grid's pairs by permutations × product, each n from prod(p**e)."""
+    for count in (1, 2, 3):
+        for primes in permutations(verify.GRID_PRIMES, count):
+            for exps in product(range(1, verify.GRID_MAX_EXPONENT + 1), repeat=count):
+                pairs = tuple(zip(primes, exps))
+                if prod(p**e for p, e in pairs) <= verify.GRID_MAX_N:
+                    yield pairs
+
+
+def test_shape_grid_yields_the_oracle_shapes_in_order():
+    oracle = list(permuted_grid())
+    assert len(oracle) == 13308
+    assert [s.pairs for s in verify.shape_grid()] == oracle
+    cases = list(verify._grid_cases())
+    assert [(n, exponents) for n, exponents, _ in cases] == [
+        (prod(p**e for p, e in pairs), tuple(e for _, e in pairs)) for pairs in oracle
+    ]
+    assert [s.pairs for _, _, s in cases] == oracle
+
+
 def test_shape_grid_refuses_a_composite_grid_prime(monkeypatch):
     monkeypatch.setattr(verify, "GRID_PRIMES", (2, 3, 9, 7))
     with pytest.raises(ValueError, match=r"non-primes: \[9\]"):
@@ -194,7 +215,7 @@ def sum_of_fractions_B_closed(shape):
 def sum_of_fractions_B_from_A(n):
     """Oracle: B(n) = 1/2 + Σ_{m|n} a(m)/(2m), adding Fractions."""
     numerator = sum(
-        (2 * count if d < n else 1) * d for d, count in divisor_lattice(factorize(n))
+        (2 * count if d < n else 1) * d for d, count in zip(*divisor_lattice(factorize(n)))
     )
     return Fraction(1, 2) + Fraction(numerator, n) / 2
 

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -18,7 +19,7 @@ from recdiv import (
     profile,
 )
 from recdiv import cli, closedforms, core, records, verify
-from recdiv.arith import divisors, factorize
+from recdiv.arith import Factorization, divisors, factorize, is_prime
 from recdiv.golden import A_FIRST_96, B_FIRST_96
 from recdiv.sieve import a_array, b_array
 
@@ -104,6 +105,85 @@ def test_sum_of_large_smooth_n_is_fast():
     value = b(n)
     assert time.perf_counter() - start < 0.5
     assert value == profile(n).b > n
+
+
+def prime_sum(q, e, m):
+    """Oracle: T(m) = Σ_{k=0}^{e} C(k + m − 1, k) · q^(e − k), by Horner's rule in q = p^x.
+
+    A fresh loop over the exponent for every m, as core evaluated the sums
+    before it stepped them in m.  At q = 1 it sums to C(e + m, e).
+    """
+    t = binom = 1
+    for k in range(1, e + 1):
+        binom = binom * (k + m - 1) // k
+        t = t * q + binom
+    return t
+
+
+def horner_kappa(fac, x):
+    """Oracle: kappa(n, x) = n^x + Σ_m c_m (Π_k T_k(m) − n^x), each T_k by prime_sum."""
+    pairs = [(p**x, e) for p, e in fac.pairs]
+    n_x = prod(q**e for q, e in pairs)
+    return n_x + sum(
+        c * (prod(prime_sum(q, e, m) for q, e in pairs) - n_x)
+        for m, c in enumerate(core._coefficients(fac.omega), start=1)
+    )
+
+
+MIXED_LARGE_N = 2**200 * 3**50 * 5**7 * 7 * 11**3
+
+
+def test_stepped_sums_match_the_horner_oracle():
+    rng = random.Random(20_000)
+    sample = [*range(1, 20_001), *(rng.randrange(1, 10**18) for _ in range(300)), MIXED_LARGE_N]
+    for n in sample:
+        fac = factorize(n)
+        for x in range(4):
+            assert core._kappa_of(fac, x) == horner_kappa(fac, x), (n, x)
+
+
+def test_sum_of_a_large_power_of_two_is_fast():
+    # B(2^c) = (c + 2)/2, so b(2^4000) = 2^3999 · 4002.  Stepping each sum in
+    # e instead, Ω · Σe = 16 million big-integer steps, took about 22 s.
+    start = time.perf_counter()
+    value = b(2**4000)
+    assert time.perf_counter() - start < 1
+    assert value == 2**3999 * 4002
+
+
+def largest_omega_times_k(digits):
+    """(Ω · k, pairs) of the n below 10^digits with the largest Ω · k.
+
+    For k distinct primes the least n with Ω prime factors is 2^(Ω−k+1) times
+    the first k − 1 odd primes, so for each k the largest Ω takes every
+    factor past those primes as a 2.  k runs until no 2 is left.
+    """
+    limit = 10**digits
+    odd_primes = [p for p in range(3, 12_000, 2) if is_prime(p)]
+    best = (0, 0, 0)
+    odd = 1
+    for k, p in enumerate(odd_primes, start=1):
+        e = (limit // odd).bit_length() - 1
+        if e < 1:
+            break
+        best = max(best, (k * (e + k - 1), k, e))
+        odd *= p
+    bound, k, e = best
+    return bound, ((2, e), *((p, 1) for p in odd_primes[: k - 1]))
+
+
+def test_the_largest_omega_times_k_below_4300_digits_is_bounded():
+    # Any n that eval parses has at most 4,300 digits (Python's int-to-str
+    # limit), so n < 10^4300.  The per-prime sums cost O(Ω · k), and the core
+    # docstring bounds them by the worst such n: about 5.5 s for a and b on
+    # 2 CPUs, of which b is the larger part.
+    bound, pairs = largest_omega_times_k(4300)
+    assert bound == 5_265_040
+    assert pairs[0] == (2, 7039) and pairs[-1] == (5101, 1) and len(pairs) == 682
+    fac = Factorization(pairs)
+    start = time.perf_counter()
+    core._kappa_of(fac, 1)
+    assert time.perf_counter() - start < 10
 
 
 def test_g_matches_definition(definitional):
@@ -320,8 +400,13 @@ def test_coefficients_at_large_omega_are_fast():
     assert coefficients[0] == -1000 and coefficients[-1] == 1
 
 
+def lattice_pairs(fac):
+    """core.divisor_lattice as one (d, g(n/d)) pair per divisor."""
+    return list(zip(*core.divisor_lattice(fac)))
+
+
 def lattice_walk(fac):
-    """Oracle: divisor_lattice as one uncached MacMahon walk per call.
+    """Oracle: lattice_pairs as one uncached MacMahon walk per call.
 
     Divisors are built as exponent vectors, the last prime fastest, each
     carrying per prime the binomial row at its cofactor's exponent, and
@@ -356,7 +441,7 @@ def test_divisor_lattice_matches_the_walk_oracle():
     checked = [*range(1, 3001), *LATTICE_N, *reordered(720720), *reordered(LATTICE_N[3])]
     for n in checked:
         fac = factorize(n)
-        lattice = core.divisor_lattice(fac)
+        lattice = lattice_pairs(fac)
         assert lattice == lattice_walk(fac), n
         assert lattice[0] == (1, g(n)) and lattice[-1] == (n, 1)
 
@@ -364,10 +449,10 @@ def test_divisor_lattice_matches_the_walk_oracle():
 def test_divisor_lattice_orders_divisors_by_prime_order():
     # 2^3·3 and 2·3^3 have the exponents (3, 1) and (1, 3), so their g-columns
     # differ; in each, the last prime's exponent runs fastest.
-    assert core.divisor_lattice(factorize(24)) == [
+    assert lattice_pairs(factorize(24)) == [
         (1, 20), (3, 4), (2, 8), (6, 2), (4, 3), (12, 1), (8, 1), (24, 1)
     ]
-    assert core.divisor_lattice(factorize(54)) == [
+    assert lattice_pairs(factorize(54)) == [
         (1, 20), (3, 8), (9, 3), (27, 1), (2, 4), (6, 2), (18, 1), (54, 1)
     ]
 
@@ -420,7 +505,7 @@ def test_cache_state_does_not_change_lattices():
     sample = [*range(1, 400), *LATTICE_N]
     want = [lattice_walk(factorize(n)) for n in sample]
     core._g_column.cache_clear()
-    assert [core.divisor_lattice(factorize(n)) for n in sample] == want
+    assert [lattice_pairs(factorize(n)) for n in sample] == want
     assert [a_sized(n).entries for n in sample] == [dict(sorted(w)) for w in want]
     # Fill the cache with other tuples (2^11 of them sum to at most 11), so
     # every lattice below evicts one.
@@ -429,7 +514,7 @@ def test_cache_state_does_not_change_lattices():
     for exponents in filler[: core.G_COLUMN_CACHE]:
         core._g_column(exponents)
     assert core._g_column.cache_info().currsize == core.G_COLUMN_CACHE
-    assert [core.divisor_lattice(factorize(n)) for n in sample] == want
+    assert [lattice_pairs(factorize(n)) for n in sample] == want
     assert [closedforms.B_from_A(n) for n in sample] == [Fraction(b(n), n) for n in sample]
 
 

@@ -127,6 +127,30 @@ def per_rect_svg(reference, style):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_svg(got, want):
+    """Fail unless the two documents are equal byte for byte, naming the first differing line.
+
+    A failing == between two documents of thousands of lines makes pytest
+    diff them line by line, which takes minutes from layout(1536) up; this
+    reports the line and the two lengths instead.
+    """
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    first = next(
+        (i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+        min(len(got_lines), len(want_lines)),
+    )
+
+    def line(lines):
+        return repr(lines[first]) if first < len(lines) else "no line"
+
+    pytest.fail(
+        f"documents differ first at line {first + 1}: got {line(got_lines)}, "
+        f"want {line(want_lines)}; lengths {len(got)} and {len(want)} characters"
+    )
+
+
 def test_unit_layout():
     tree = layout(1)
     assert tree.square_count == 1
@@ -272,13 +296,13 @@ def test_overlap_pair_counts_of_large_trees(n, pairs):
 def test_svg_matches_per_rect_rendering(style):
     tree = layout(1536)  # 2^9 * 3: depths up to 10, past the darkest shade at 7
     assert tree.rows[:, 3].max() > 7
-    assert to_svg(tree, style) == per_rect_svg(as_reference(tree), style)
+    assert_same_svg(to_svg(tree, style), per_rect_svg(as_reference(tree), style))
 
 
 def test_svg_matches_per_rect_rendering_across_chunks():
     tree = layout(4608)  # 38,912 rects: three chunks of svg_chunks
     assert tree.square_count > 2 * CHUNK
-    assert to_svg(tree) == per_rect_svg(as_reference(tree), SvgStyle())
+    assert_same_svg(to_svg(tree), per_rect_svg(as_reference(tree), SvgStyle()))
 
 
 @pytest.mark.parametrize("n", [M89, 6 * M89, 12 * M89], ids=["p", "6p", "12p"])
@@ -288,7 +312,7 @@ def test_layout_past_int64_matches_per_square_oracles(n):
     assert tree.rows.dtype == object  # n * a(n) >= 2**63
     assert as_reference(tree) == reference
     for style in (SvgStyle(), SvgStyle(shade_by_depth=False, stroke_width=0.5, margin=0)):
-        assert to_svg(tree, style) == per_rect_svg(reference, style)
+        assert_same_svg(to_svg(tree, style), per_rect_svg(reference, style))
     assert self_overlap(tree) == brute_force_overlaps(reference)
 
 
@@ -312,13 +336,15 @@ def test_tree_cli_bytes_past_int64(tmp_path, capsys):
         f"overlaps={len(brute_force_overlaps(reference))}\n"
     )
     assert main(["tree", str(n), "--check-overlap"]) == 0
-    assert capsys.readouterr() == (per_rect_svg(reference, SvgStyle()), summary)
+    out, err = capsys.readouterr()
+    assert_same_svg(out, per_rect_svg(reference, SvgStyle()))
+    assert err == summary
     path = tmp_path / "tree.svg"
     style_flags = ["--no-shading", "--stroke-width", "0.5", "--margin", "0"]
     assert main(["tree", str(n), "-o", str(path), *style_flags]) == 0
     assert capsys.readouterr() == (summary.splitlines(keepends=True)[0], "")
     style = SvgStyle(shade_by_depth=False, stroke_width=0.5, margin=0)
-    assert path.read_bytes() == per_rect_svg(reference, style).encode()
+    assert_same_svg(path.read_bytes().decode(), per_rect_svg(reference, style))
 
 
 def test_svg_rect_counts():

@@ -42,13 +42,22 @@ def _format_arg(text: str) -> formats.ExportFormat:
         raise argparse.ArgumentTypeError(f"unknown format {text!r}; use csv, json, or bfile")
 
 
+def _field(name: str, value: object) -> str:
+    try:
+        return f"{name}={value}"
+    except ValueError:
+        raise OverflowError(
+            f"eval cannot print {name}: it has more than {sys.get_int_max_str_digits()} digits, "
+            "the int-to-str limit; sys.set_int_max_str_digits or PYTHONINTMAXSTRDIGITS sets it"
+        ) from None
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     p = profile(args.n)
-    print(f"n={p.n}")
-    print(f"factorization={p.factorization}")
-    print(f"d={p.d} sigma={p.sigma}")
-    print(f"a={p.a} b={p.b} g={p.g}")
-    print(f"A={p.A} B={p.B}")
+    # Every line is composed before any is written, so a refusal prints nothing.
+    lines = (("n",), ("factorization",), ("d", "sigma"), ("a", "b", "g"), ("A", "B"))
+    text = "".join(" ".join(_field(k, getattr(p, k)) for k in line) + "\n" for line in lines)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -21,19 +21,19 @@ of it sums of b (no mixed term); its gate is exact agreement with the per-n
 evaluator on the full verification grid.  The recursion takes any number of
 primes; shapes keep at most three for a_closed and B_closed.
 
-Each level of the recursion lowers Σe by at least one, so a shape with a large
-Σe would nest that many calls.  _kappa fills the cache from below first, in
-steps of _DEPTH_STEP in Σe, so no call nests deeper than one step.
+Every term on the right is kappa of a divisor of n, so kappa_table fills the
+recursion bottom-up over n's exponent box, in lexicographic order.  A term
+lowers some exponents by one, which gives a lexicographically smaller vector,
+so its value is already in the table.  Nothing nests and nothing is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import comb, prod
-from operator import itemgetter, mul
+from operator import mul
 
 from .arith import factorize, is_prime
 from .core import divisor_lattice
@@ -41,11 +41,7 @@ from .core import divisor_lattice
 
 @dataclass(frozen=True)
 class PrimePowerShape:
-    """An n of the form p^c, p^c q^d, or p^c q^d r^e; zero exponents absorb away.
-
-    The constructor validates the pairs.  verify.shape_grid proves its primes
-    once and builds its shapes through _proven without that check.
-    """
+    """An n of the form p^c, p^c q^d, or p^c q^d r^e; zero exponents absorb away."""
 
     pairs: tuple[tuple[int, int], ...]
 
@@ -60,13 +56,6 @@ class PrimePowerShape:
                 raise ValueError(f"{p} is not prime")
             if e < 0:
                 raise ValueError(f"exponent must be >= 0 in {p}^{e}")
-
-    @classmethod
-    def _proven(cls, pairs: tuple[tuple[int, int], ...]) -> PrimePowerShape:
-        """A shape of at most three distinct primes the caller has proven, exponents >= 0."""
-        shape = object.__new__(cls)
-        object.__setattr__(shape, "pairs", pairs)
-        return shape
 
     @classmethod
     def of(cls, *pairs: tuple[int, int]) -> PrimePowerShape:
@@ -105,54 +94,34 @@ def a_distinct_primes(k: int) -> int:
     return values[k]
 
 
-@cache
-def _kappa_rec(pairs: tuple[tuple[int, int], ...], x: int) -> int:
-    """kappa(n, x) by the recursion above; pairs are n's (p, e), every e >= 1.
+def kappa_table(pairs: tuple[tuple[int, int], ...], x: int) -> dict[tuple[int, ...], int]:
+    """kappa(d, x) for every divisor d of n = Π p^e over pairs, keyed by d's exponent tuple.
 
-    terms holds n / Π_{p∈T} p with its coefficient 2(−1)^{|T|+1} for every T,
-    built one prime at a time, T = ∅ first.  A prime whose exponent reaches 0
-    leaves its shape, so every cache key is normalized.
+    Values are listed in product()'s order, where lowering one exponent by one
+    steps back by that prime's stride, Π (e + 1) over the primes after it.
+    Each prime has a column of its factors J_x(p^e), 1 at e = 0.  terms holds
+    the index of d / Π_{p∈T} p and 2(−1)^{|T|+1} for each T, T = ∅ first.
     """
-    total = 1
-    terms = [((), -2)]
-    for p, e in pairs:
-        total *= (p**x - 1) * p ** (x * (e - 1))
-        kept, lowered = ((p, e),), ((p, e - 1),) if e > 1 else ()
-        terms = [(t + kept, c) for t, c in terms] + [(t + lowered, -c) for t, c in terms]
-    for shape, c in terms[1:]:
-        total += c * _kappa_rec(shape, x)
-    return total
-
-
-# The most levels of Σe one _kappa_rec call descends before it meets cached shapes.
-_DEPTH_STEP = 100
-_exponent = itemgetter(1)
-
-
-def _kappa(pairs: tuple[tuple[int, int], ...], x: int) -> int:
-    """_kappa_rec(pairs, x), with the cache filled from below in steps of _DEPTH_STEP.
-
-    The recursion from pairs reaches every shape whose exponents are at most
-    pairs'.  Those with Σe a positive multiple s of the step are evaluated in
-    order of s; each finds every shape below it with Σe <= s - _DEPTH_STEP
-    cached, so it nests at most _DEPTH_STEP calls.  The cache ends holding the
-    same shapes as one direct call would.
-    """
-    total = sum(map(_exponent, pairs))
-    if total > _DEPTH_STEP:
-        levels = [
-            exps
-            for exps in product(*(range(e + 1) for _, e in pairs))
-            if sum(exps) % _DEPTH_STEP == 0 and 0 < sum(exps) < total
-        ]
-        for exps in sorted(levels, key=sum):
-            _kappa_rec(tuple((p, e) for (p, _), e in zip(pairs, exps) if e), x)
-    return _kappa_rec(pairs, x)
+    jordan = [[1] + [(p**x - 1) * p ** (x * (c - 1)) for c in range(1, e + 1)] for p, e in pairs]
+    strides = [prod(e + 1 for _, e in pairs[i + 1 :]) for i in range(len(pairs))]
+    boxes = [range(e + 1) for _, e in pairs]
+    values: list[int] = []
+    for exps in product(*boxes):
+        total = 1
+        terms = [(len(values), -2)]
+        for column, e, stride in zip(jordan, exps, strides):
+            total *= column[e]
+            if e:
+                terms += [(i - stride, -c) for i, c in terms]
+        for i, c in terms[1:]:
+            total += c * values[i]
+        values.append(total)
+    return dict(zip(product(*boxes), values))
 
 
 def a_recursion(shape: PrimePowerShape) -> int:
     """Recursive-divisor count via the doubling recursion; prime-agnostic."""
-    return _kappa(shape.normalized().pairs, 0)
+    return kappa_table(shape.pairs, 0)[shape.exponents]
 
 
 def _a_closed_two(c: int, d: int) -> int:
@@ -181,7 +150,7 @@ def a_closed(shape: PrimePowerShape) -> int:
 
 def b_recursion(shape: PrimePowerShape) -> int:
     """Recursive-divisor sum via the same recursion at x = 1; needs concrete primes."""
-    return _kappa(shape.normalized().pairs, 1)
+    return kappa_table(shape.pairs, 1)[shape.exponents]
 
 
 def B_closed(shape: PrimePowerShape) -> Fraction:

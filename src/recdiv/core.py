@@ -95,21 +95,21 @@ g_enumerated is a further, independent oracle for g: it walks every chain
 n → n/f_1 → ... → 1 of an ordered factorization on an explicit stack and
 counts the chains that reach 1, memoizing no count.
 
-All functions are pure.  There are two process-local functools caches, safe
-to share across threads under CPython, and both bounded by the n asked for.
-_coefficients holds one tuple of Ω integers per Ω asked for: at most 64
-tuples while every n is below 2^64.  _g_column holds the G_COLUMN_CACHE
-(2048) most recently used columns, one tuple of d(n) integers each.  n ≤ 10^5
-has 351 tuples and d(n) ≤ 128; n ≤ 2.5·10^6, the larger verify budget, has
-1,061 tuples and d(n) ≤ 320, so they all fit.  In general the cache holds at
-most 2048 times the largest d(n) asked for.
+All functions are pure.  There is one process-local functools cache, safe
+to share across threads under CPython and bounded in entries: _g_column holds
+the G_COLUMN_CACHE (2048) most recently used columns, one tuple of d(n)
+integers each.  n ≤ 10^5 has 351 tuples and d(n) ≤ 128; n ≤ 2.5·10^6, the
+larger verify budget, has 1,061 tuples and d(n) ≤ 320, so they all fit.  In
+general the cache holds at most 2048 times the largest d(n) asked for.  The
+coefficient rows for Ω < 64, every n below 2^64, are built once at import
+(64 tuples, about 77 KiB); a larger Ω computes its row per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import comb, prod
 from operator import itemgetter, mul
 
@@ -128,9 +128,14 @@ G_COLUMN_CACHE = 2048
 _exponent = itemgetter(1)
 
 
-@cache
+# _coefficients for every Ω < 64, so every n < 2^64; filled at import, below.
+_COEFFICIENT_ROWS: tuple[tuple[int, ...], ...] = ()
+
+
 def _coefficients(omega: int) -> tuple[int, ...]:
     """(c_1, ..., c_Ω) by the recurrence above, s = (−1)^{Ω−m} C(Ω + 1, m + 1)."""
+    if omega < len(_COEFFICIENT_ROWS):
+        return _COEFFICIENT_ROWS[omega]
     coefficients = []
     c, s = 0, 1
     for m in range(omega, 0, -1):
@@ -138,6 +143,9 @@ def _coefficients(omega: int) -> tuple[int, ...]:
         coefficients.append(c)
         s = -s * (m + 1) // (omega + 1 - m)
     return tuple(reversed(coefficients))
+
+
+_COEFFICIENT_ROWS = tuple(map(_coefficients, range(64)))
 
 
 def _kappa_of(fac: Factorization, x: int) -> int:

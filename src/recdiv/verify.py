@@ -17,8 +17,9 @@ zero-argument callable, so a passing case formats no text.
 
 A route is evaluated once per distinct input it depends on, and every case
 is still tallied on its own: the closedforms suite evaluates the definition
-once per n and the prime-agnostic count forms once per exponent tuple, then
-checks each of its 13,308 ordered shapes against them.
+once per n, the recursion as one table of sums per ordered prime tuple and
+one table of counts, and the count's closed form once per exponent tuple,
+then checks each of its 13,308 ordered shapes against them.
 """
 
 from __future__ import annotations
@@ -163,14 +164,13 @@ def verify_lemmas(limit: int = 5000) -> SuiteReport:
 
 
 def _grid_cases():
-    """(n, exponents, shape) for every shape of shape_grid, in its order.
+    """(n, primes, exponents) for every ordered prime-power shape of the grid.
 
-    GRID_PRIMES are proven prime once, and permutations keep each shape's
-    primes distinct, so shapes are built through PrimePowerShape._proven
-    without the constructor's checks.  Each prime has one table of its
-    (e, p^e) for e = 1..GRID_MAX_EXPONENT, and n is the product of the chosen
-    powers, so a shape past the bound is never built.  The last prime's
-    exponent runs fastest.
+    Shapes take 1 to 3 distinct GRID_PRIMES, in every order, each with an
+    exponent from 1 to GRID_MAX_EXPONENT, and n <= GRID_MAX_N.  GRID_PRIMES
+    are proven prime first.  Each prime has one list of its (e, p^e), and n
+    is the product of the chosen powers, so a shape past the bound is never
+    built.  The last prime's exponent runs fastest.
     """
     composite = [p for p in GRID_PRIMES if not is_prime(p)]
     if composite:
@@ -182,23 +182,18 @@ def _grid_cases():
                 exponents, factors = zip(*chosen)
                 n = prod(factors)
                 if n <= GRID_MAX_N:
-                    yield n, exponents, closedforms.PrimePowerShape._proven(
-                        tuple(zip(primes, exponents))
-                    )
-
-
-def shape_grid():
-    """Ordered prime-power shapes over the verification grid, n <= GRID_MAX_N."""
-    for _, _, shape in _grid_cases():
-        yield shape
+                    yield n, primes, exponents
 
 
 def verify_closedforms(limit: int = 10_000) -> SuiteReport:
     """Recursions and closed forms against the definitional evaluators.
 
     Shapes that differ only in prime order share n, and the definitional
-    route is pure, so (a(n), b(n)) is evaluated once per n.  The count routes
-    a_recursion and a_closed are prime-agnostic, so they are evaluated once
+    route is pure, so (a(n), b(n)) is evaluated once per n.  The recursion is
+    read from kappa tables to GRID_MAX_EXPONENT: one of sums per ordered prime
+    tuple, held while the grid lists that tuple's shapes, and one of counts on
+    the first three grid primes, read with the exponents padded by zeros,
+    since the count does not depend on the primes.  a_closed is evaluated once
     per ordered exponent tuple (the grid has 155) and kept in a dict local to
     this call.  Every ordered shape is still tallied against the definition
     of its own n.
@@ -209,27 +204,34 @@ def verify_closedforms(limit: int = 10_000) -> SuiteReport:
     sum_routes = CheckResult("sum: recursion matches the definition")
     ratio_closed = CheckResult("ratio closed form matches the definition (1-2 primes)")
     definition: dict[int, tuple[int, int]] = {}
-    counts: dict[tuple[int, ...], tuple[int, int]] = {}
-    for n, exponents, shape in _grid_cases():
+    closed_counts: dict[tuple[int, ...], int] = {}
+    count_primes = GRID_PRIMES[:3]
+    count_table = closedforms.kappa_table(tuple((p, GRID_MAX_EXPONENT) for p in count_primes), 0)
+    sum_primes, sum_table = (), {}
+    for n, primes, exponents in _grid_cases():
         if n not in definition:
             definition[n] = (a(n), b(n))
         want_a, want_b = definition[n]
-        if exponents not in counts:
-            counts[exponents] = (closedforms.a_recursion(shape), closedforms.a_closed(shape))
-        got_rec, got_closed = counts[exponents]
+        pairs = tuple(zip(primes, exponents))
+        if exponents not in closed_counts:
+            closed_counts[exponents] = closedforms.a_closed(closedforms.PrimePowerShape(pairs))
+        got_rec = count_table[exponents + (0,) * (len(count_primes) - len(exponents))]
+        got_closed = closed_counts[exponents]
         count_routes.tally(
             got_rec == want_a and got_closed == want_a,
-            lambda: f"n={n} {shape.pairs}: recursion {got_rec}, closed {got_closed}, "
-            f"want {want_a}",
+            lambda: f"n={n} {pairs}: recursion {got_rec}, closed {got_closed}, want {want_a}",
         )
-        got_b = closedforms.b_recursion(shape)
-        sum_routes.tally(got_b == want_b, lambda: f"n={n} {shape.pairs}: {got_b} != {want_b}")
-        if len(shape.pairs) <= 2:
+        if primes != sum_primes:
+            sum_primes = primes
+            sum_table = closedforms.kappa_table(tuple((p, GRID_MAX_EXPONENT) for p in primes), 1)
+        got_b = sum_table[exponents]
+        sum_routes.tally(got_b == want_b, lambda: f"n={n} {pairs}: {got_b} != {want_b}")
+        if len(primes) <= 2:
             want_ratio = Fraction(want_b, n)
-            got_ratio = closedforms.B_closed(shape)
+            got_ratio = closedforms.B_closed(closedforms.PrimePowerShape(pairs))
             ratio_closed.tally(
                 got_ratio == want_ratio,
-                lambda: f"n={n} {shape.pairs}: {got_ratio} != {want_ratio}",
+                lambda: f"n={n} {pairs}: {got_ratio} != {want_ratio}",
             )
 
     distinct = CheckResult("distinct-prime counts match reference and definition")

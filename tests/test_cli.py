@@ -1,4 +1,5 @@
 import inspect
+import sys
 import tracemalloc
 from xml.etree import ElementTree
 
@@ -248,18 +249,17 @@ def test_verify_closedforms_fails_every_shape_of_a_wrong_exponent_tuple(monkeypa
     monkeypatch.setattr(
         closedforms, "a_closed", lambda shape: real(shape) + (shape.exponents == (2, 1))
     )
-    wrong = [s for s in verify.shape_grid() if s.exponents == (2, 1)]
-    total = sum(1 for _ in verify.shape_grid())
+    cases = list(verify._grid_cases())
+    wrong = [(n, tuple(zip(primes, exps))) for n, primes, exps in cases if exps == (2, 1)]
     code, out, _ = run(capsys, "verify", "closedforms", "100")
     assert code == EXIT_VERIFY
     shown = "; ".join(
-        f"n={s.n} {s.pairs}: recursion {a(s.n)}, closed {a(s.n) + 1}, want {a(s.n)}"
-        for s in wrong[:3]
+        f"n={n} {pairs}: recursion {a(n)}, closed {a(n) + 1}, want {a(n)}" for n, pairs in wrong[:3]
     )
     lines = out.splitlines()
     assert lines[0] == (
         "FAIL count: recursion and closed form match the definition "
-        f"({len(wrong)} of {total}): {shown}"
+        f"({len(wrong)} of {len(cases)}): {shown}"
     )
     assert lines[1].startswith("PASS sum: recursion matches the definition")
     assert lines[-1] == "FAIL suite closedforms"
@@ -294,10 +294,11 @@ def test_memory_guard_exit_code(capsys):
 
 
 def test_closedforms_guard_runs_before_the_shape_grid(monkeypatch):
-    def refuse(shape):
+    def refuse(*args):
         raise AssertionError("the shape grid ran before the memory guard")
 
-    monkeypatch.setattr(closedforms, "a_recursion", refuse)
+    monkeypatch.setattr(closedforms, "kappa_table", refuse)
+    monkeypatch.setattr(closedforms, "a_closed", refuse)
     with pytest.raises(MemoryGuardError):
         verify.run_suite("closedforms", 10**8)
 
@@ -341,6 +342,24 @@ def test_overflow_guard_exit_code(capsys):
     )
     assert code == EXIT_OVERFLOW
     assert "int64" in err
+
+
+def test_eval_past_the_int_to_str_limit_prints_nothing(capsys):
+    # n = 2^2120 and sigma = 2^2121 − 1 have 639 digits and b = 2^2119·2122
+    # has 642, so at a 640-digit limit n and sigma convert but b does not.
+    n = str(2**2120)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "eval", n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == EXIT_OVERFLOW
+    assert out == ""
+    assert err == (
+        "error: eval cannot print b: it has more than 640 digits, the int-to-str limit; "
+        "sys.set_int_max_str_digits or PYTHONINTMAXSTRDIGITS sets it\n"
+    )
 
 
 def test_verify_failure_exit_code_is_distinct():

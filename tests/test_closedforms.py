@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import cache
 from itertools import permutations, product
 from math import comb, prod
 
@@ -120,23 +119,6 @@ def test_shape_validation():
         shape((2, -1))
 
 
-def test_shape_grid_proves_its_primes_once(monkeypatch):
-    proven = []
-    real = closedforms.is_prime
-
-    def counting(p):
-        proven.append(p)
-        return real(p)
-
-    for module in (closedforms, verify):
-        monkeypatch.setattr(module, "is_prime", counting)
-    grid = list(verify.shape_grid())
-    assert proven == list(verify.GRID_PRIMES)
-    assert len(grid) == 13308
-    # The validating constructor accepts every grid shape and builds an equal one.
-    assert grid == [PrimePowerShape(s.pairs) for s in grid]
-
-
 def permuted_grid():
     """Oracle: the grid's pairs by permutations × product, each n from prod(p**e)."""
     for count in (1, 2, 3):
@@ -150,18 +132,15 @@ def permuted_grid():
 def test_shape_grid_yields_the_oracle_shapes_in_order():
     oracle = list(permuted_grid())
     assert len(oracle) == 13308
-    assert [s.pairs for s in verify.shape_grid()] == oracle
     cases = list(verify._grid_cases())
-    assert [(n, exponents) for n, exponents, _ in cases] == [
-        (prod(p**e for p, e in pairs), tuple(e for _, e in pairs)) for pairs in oracle
-    ]
-    assert [s.pairs for _, _, s in cases] == oracle
+    assert [tuple(zip(primes, exponents)) for _, primes, exponents in cases] == oracle
+    assert [n for n, _, _ in cases] == [prod(p**e for p, e in pairs) for pairs in oracle]
 
 
 def test_shape_grid_refuses_a_composite_grid_prime(monkeypatch):
     monkeypatch.setattr(verify, "GRID_PRIMES", (2, 3, 9, 7))
     with pytest.raises(ValueError, match=r"non-primes: \[9\]"):
-        next(verify.shape_grid())
+        next(verify._grid_cases())
 
 
 @given(st.integers(0, 8), st.integers(0, 8))
@@ -221,7 +200,7 @@ def sum_of_fractions_B_from_A(n):
 
 
 def test_one_denominator_ratios_match_fraction_sums():
-    grid = [s for s in verify.shape_grid() if len(s.pairs) <= 2]
+    grid = [PrimePowerShape(pairs) for pairs in permuted_grid() if len(pairs) <= 2]
     pairs = [factorize(n).pairs for n in range(2, 3001)]
     small = [PrimePowerShape(p) for p in pairs if len(p) <= 2]
     for s in grid + small:
@@ -245,24 +224,41 @@ def test_one_denominator_ratios_match_fraction_sums():
 def test_recursion_takes_more_primes_than_a_shape_holds(n):
     pairs = factorize(n).pairs
     assert 4 <= len(pairs) <= 7
-    assert closedforms._kappa_rec(pairs, 0) == kappa(n, 0) == a(n)
-    assert closedforms._kappa_rec(pairs, 1) == kappa(n, 1) == b(n)
+    exponents = tuple(e for _, e in pairs)
+    assert closedforms.kappa_table(pairs, 0)[exponents] == kappa(n, 0) == a(n)
+    assert closedforms.kappa_table(pairs, 1)[exponents] == kappa(n, 1) == b(n)
+
+
+def test_a_seven_prime_table_holds_kappa_of_every_divisor():
+    pairs = factorize(2**2 * 3 * 5 * 7 * 11 * 13 * 17).pairs
+    boxes = [range(e + 1) for _, e in pairs]
+    for x in (0, 1):
+        table = closedforms.kappa_table(pairs, x)
+        assert list(table) == list(product(*boxes))
+        for exponents, value in table.items():
+            m = prod(p**e for (p, _), e in zip(pairs, exponents))
+            assert value == kappa(m, x), (exponents, x)
 
 
 def test_a_flipped_subset_sign_fails_verify_closedforms(monkeypatch, capsys):
     def mutant(pairs, x):
-        """_kappa_rec with the sign of T = {both primes} flipped on two-prime n."""
-        total = prod((p**x - 1) * p ** (x * (e - 1)) for p, e in pairs)
-        for drop in product((0, 1), repeat=len(pairs)):
-            if any(drop):
-                lowered = tuple((p, e - d) for (p, e), d in zip(pairs, drop) if e > d)
-                sign = (-1) ** sum(drop)
-                if drop == (1, 1):
-                    sign = -sign
-                total -= sign * 2 * closedforms._kappa_rec(lowered, x)
-        return total
+        """kappa_table with the sign of T = {both primes} flipped on two-prime divisors."""
+        table = {}
+        for exps in product(*(range(e + 1) for _, e in pairs)):
+            total = prod(
+                (p**x - 1) * p ** (x * (e - 1)) if e else 1 for (p, _), e in zip(pairs, exps)
+            )
+            for drop in product((0, 1), repeat=len(pairs)):
+                if any(drop) and all(d <= e for d, e in zip(drop, exps)):
+                    lowered = tuple(e - d for e, d in zip(exps, drop))
+                    sign = (-1) ** sum(drop)
+                    if sum(drop) == 2 == sum(e > 0 for e in exps):
+                        sign = -sign
+                    total -= sign * 2 * table[lowered]
+            table[exps] = total
+        return table
 
-    monkeypatch.setattr(closedforms, "_kappa_rec", cache(mutant))
+    monkeypatch.setattr(closedforms, "kappa_table", mutant)
     code = cli.main(["verify", "closedforms", "100"])
     out = capsys.readouterr().out.splitlines()
     assert code == cli.EXIT_VERIFY
@@ -272,36 +268,17 @@ def test_a_flipped_subset_sign_fails_verify_closedforms(monkeypatch, capsys):
     assert out[-1] == "FAIL suite closedforms"
 
 
-def test_recursion_cache_holds_normalized_shapes_only():
-    # Keys carry every exponent >= 1, so a verify closedforms run caches the
-    # 13,525 normalized shapes it reaches, not their zero-exponent aliases.
-    closedforms._kappa_rec.cache_clear()
-    assert verify.run_suite("closedforms").passed
-    assert closedforms._kappa_rec.cache_info().currsize <= 13_525
-
-
 def test_recursion_reaches_large_exponents_on_a_fresh_cache():
-    # Each level lowers Σe by one, so a direct recursion from 2^2000 would nest
-    # 2000 calls.  a(2^c) = 2^c, and B(2^c) = (c + 2)/2 gives b = 2^(c-1)·(c + 2).
-    closedforms._kappa_rec.cache_clear()
+    # Each level lowers Σe by one, so a top-down recursion from 2^2000 would
+    # nest 2000 calls; the table nests none.  a(2^c) = 2^c, and
+    # B(2^c) = (c + 2)/2 gives b = 2^(c-1)·(c + 2).
     assert b_recursion(shape((2, 2000))) == 2**1999 * 2002
     assert a_recursion(shape((2, 2000))) == 2**2000
 
 
 def test_recursion_reaches_a_large_two_prime_shape():
-    # Lowering only the 3 reaches 2^1500 in two levels, whose direct
+    # Lowering only the 3 reaches 2^1500 in two levels, whose top-down
     # recursion would nest 1500 calls.
-    closedforms._kappa_rec.cache_clear()
     s = shape((2, 1500), (3, 2))
     assert b_recursion(s) == B_closed(s) * s.n
     assert a_recursion(s) == a_closed(s)
-
-
-def test_filling_from_below_caches_what_the_direct_recursion_does():
-    pairs = ((2, 245), (3, 5))  # Σe = 250: shallow enough to recurse directly
-    closedforms._kappa_rec.cache_clear()
-    direct = closedforms._kappa_rec(pairs, 1)
-    entries = closedforms._kappa_rec.cache_info().currsize
-    closedforms._kappa_rec.cache_clear()
-    assert b_recursion(shape(*pairs)) == direct == b(2**245 * 3**5)
-    assert closedforms._kappa_rec.cache_info().currsize == entries == 246 * 6

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 import time
 from fractions import Fraction
@@ -18,6 +20,7 @@ from recdiv import (
     kappa,
     profile,
 )
+import recdiv
 from recdiv import cli, closedforms, core, records, verify
 from recdiv.arith import Factorization, divisors, factorize, is_prime
 from recdiv.golden import A_FIRST_96, B_FIRST_96
@@ -394,7 +397,7 @@ def test_coefficient_recurrence_matches_the_double_sum():
 def test_coefficients_at_large_omega_are_fast():
     # The double sum takes about 90 s at Ω = 2000, the recurrence milliseconds.
     start = time.perf_counter()
-    coefficients = core._coefficients.__wrapped__(2000)
+    coefficients = core._coefficients(2000)
     assert time.perf_counter() - start < 0.5
     # c_1 = Σ_{j=1}^{Ω} (−1)^{j−1} j, which is −Ω/2 for even Ω.
     assert coefficients[0] == -1000 and coefficients[-1] == 1
@@ -462,6 +465,21 @@ def compositions(total):
     if total == 0:
         return [()]
     return [(first, *rest) for first in range(1, total + 1) for rest in compositions(total - first)]
+
+
+def test_no_recdiv_cache_is_unbounded():
+    # __main__ runs the CLI when imported, so it is left out.
+    names = [m.name for m in pkgutil.iter_modules(recdiv.__path__) if m.name != "__main__"]
+    modules = [recdiv, *(importlib.import_module(f"recdiv.{name}") for name in names)]
+    caches = {
+        f"{module.__name__}.{name}": value
+        for module in modules
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_parameters")
+    }
+    assert "recdiv.core._g_column" in caches
+    unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
+    assert unbounded == []
 
 
 def test_g_column_cache_is_bounded():

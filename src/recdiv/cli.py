@@ -121,7 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("max", type=_positive_int)
     p_table.add_argument("--format", type=_format_arg, default=formats.ExportFormat.CSV)
     p_table.add_argument("-o", "--output", default=None)
-    p_table.add_argument("--max-memory", type=int, default=None, help="sieve budget in bytes")
+    p_table.add_argument(
+        "--max-memory", type=_positive_int, default=None, help="sieve budget in bytes"
+    )
     p_table.set_defaults(func=cmd_table)
 
     p_records = sub.add_parser("records", help="search record-setting integers up to max")
@@ -144,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--no-shading", action="store_true")
     p_tree.add_argument("--check-overlap", action="store_true")
     p_tree.add_argument(
-        "--budget", type=int, default=DEFAULT_SQUARE_BUDGET, help="square-count budget"
+        "--budget", type=_positive_int, default=DEFAULT_SQUARE_BUDGET, help="square-count budget"
     )
     p_tree.set_defaults(func=cmd_tree)
 

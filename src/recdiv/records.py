@@ -78,12 +78,11 @@ conservative float prescan narrows every scan, never its decision.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Flag, auto
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -183,20 +182,12 @@ class RecordTable:
     bound: int
     kinds: RecordKind
     entries: tuple[RecordEntry, ...]
-    _ns: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_ns", tuple(e.n for e in self.entries))
 
     def numbers(self, kind: RecordKind) -> list[int]:
         return [e.n for e in self.entries if kind in e.kinds]
 
     def entry(self, n: int) -> RecordEntry | None:
-        ns = self._ns
-        i = bisect_left(ns, n)
-        if i < len(ns) and ns[i] == n:
-            return self.entries[i]
-        return None
+        return next((e for e in self.entries if e.n == n), None)
 
     def check(self) -> None:
         """Internal consistency: strict growth per kind, n=1 first, RHC shape."""
@@ -247,19 +238,28 @@ def _record_indices(arr: np.ndarray, ratio: bool) -> list[int]:
     return out
 
 
-def _entry(p: DivisorProfile, kinds: RecordKind) -> RecordEntry:
-    tau = p.factorization.max_exponent
-    return RecordEntry(
-        n=p.n,
-        factorization=p.factorization,
-        kinds=kinds,
-        a=p.a,
-        b=p.b,
-        d=p.d,
-        sigma=p.sigma,
-        tau=tau,
-        tau_cofactor=p.a >> tau,
-    )
+def _table(
+    bound: int,
+    kinds: RecordKind,
+    flags: dict[int, RecordKind],
+    agrees: Callable[[DivisorProfile], None],
+) -> RecordTable:
+    """The checked table of the flagged n, each entry from profile(n).
+
+    agrees(p) is the route's own check of profile p against the values it
+    ranked p.n by, and raises AssertionError when they differ.
+    """
+    entries = []
+    for n in sorted(flags):
+        p = profile(n)
+        agrees(p)
+        tau = p.factorization.max_exponent
+        entries.append(
+            RecordEntry(n, p.factorization, flags[n], p.a, p.b, p.d, p.sigma, tau, p.a >> tau)
+        )
+    table = RecordTable(bound=bound, kinds=kinds, entries=tuple(entries))
+    table.check()
+    return table
 
 
 class Candidate(NamedTuple):
@@ -392,16 +392,14 @@ def search_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
                 best_num, best_den = value, den
                 flags[n] = flags.get(n, RecordKind(0)) | kind
                 found[n] = cand
-    entries = []
-    for n in sorted(flags):
-        p, cand = profile(n), found[n]
+
+    def agrees(p: DivisorProfile) -> None:
+        cand = found[p.n]
         walked = (cand.factorization, cand.a, cand.b, cand.d, cand.sigma)
         if (p.factorization, p.a, p.b, p.d, p.sigma) != walked:
-            raise AssertionError(f"{n}: the candidate walk and profile disagree")
-        entries.append(_entry(p, flags[n]))
-    table = RecordTable(bound=bound, kinds=kinds, entries=tuple(entries))
-    table.check()
-    return table
+            raise AssertionError(f"{p.n}: the candidate walk and profile disagree")
+
+    return _table(bound, kinds, flags, agrees)
 
 
 def tau_decompose(n: int) -> tuple[int, int]:
@@ -429,18 +427,14 @@ def sieve_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
         for n in _record_indices(arr, ratio):
             flags[n] = flags.get(n, RecordKind(0)) | kind
 
-    entries = []
-    for n in sorted(flags):
-        p = profile(n)
-        # Each batch sieve must agree with the per-n profile: the core
-        # evaluators for a and b, the factorization formulas for d and sigma.
+    # Each batch sieve must agree with the per-n profile: the core evaluators
+    # for a and b, the factorization formulas for d and sigma.
+    def agrees(p: DivisorProfile) -> None:
         for name, arr in arrays.items():
-            if getattr(p, name) != int(arr[n]):
-                raise AssertionError(f"{name}({n}): sieve and profile disagree")
-        entries.append(_entry(p, flags[n]))
-    table = RecordTable(bound=bound, kinds=kinds, entries=tuple(entries))
-    table.check()
-    return table
+            if getattr(p, name) != int(arr[p.n]):
+                raise AssertionError(f"{name}({p.n}): sieve and profile disagree")
+
+    return _table(bound, kinds, flags, agrees)
 
 
 def classify(n: int, table: RecordTable) -> RecordKind:

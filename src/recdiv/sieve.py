@@ -1,8 +1,10 @@
 """Batch divisor-sum sieves: whole-range arrays, O(N log N) work, O(sqrt N) numpy calls.
 
-One kernel, `_sieve`, fills every table.  It adds a term for each n to all
-multiples k*n (k >= 2); the n | n term is already in the initial array.  It
-has two modes:
+`_TABLES` is the one place a table is defined, as name -> (x, recursive).
+Each table starts at n**x for n >= 1, except g (x None), which starts at the
+Dirichlet unit: 1 at n = 1, 0 elsewhere.  That start value is the n | n
+term.  One kernel, `_sieve`, then adds a term for each n to all multiples
+k*n (k >= 2), in one of two modes:
 
 - recursive (a, b, g): the term is arr[n], the finished value at n;
 - plain divisor sum (d, sigma): the term is the fixed n**x, x = 0 or 1.
@@ -27,6 +29,7 @@ larger bounds are refused loudly rather than sieved.
 
 from __future__ import annotations
 
+from functools import partial
 from math import isqrt
 
 import numpy as np
@@ -81,69 +84,28 @@ def _sieve(arr: np.ndarray, power: int | None = None) -> np.ndarray:
     return arr
 
 
-def _a_array(limit: int) -> np.ndarray:
-    arr = np.ones(limit + 1, dtype=np.int64)
-    arr[0] = 0
-    return _sieve(arr)
-
-
-def _b_array(limit: int) -> np.ndarray:
-    return _sieve(np.arange(limit + 1, dtype=np.int64))
-
-
-def _g_array(limit: int) -> np.ndarray:
-    arr = np.zeros(limit + 1, dtype=np.int64)
-    arr[1] = 1
-    return _sieve(arr)
-
-
-def _d_array(limit: int) -> np.ndarray:
-    arr = np.ones(limit + 1, dtype=np.int64)
-    arr[0] = 0
-    return _sieve(arr, 0)
-
-
-def _sigma_array(limit: int) -> np.ndarray:
-    return _sieve(np.arange(limit + 1, dtype=np.int64), 1)
-
-
-def a_array(limit: int) -> np.ndarray:
-    """Counts of recursive divisors for 0..limit (index 0 unused)."""
-    check_budget(limit, 1)
-    return _a_array(limit)
-
-
-def b_array(limit: int) -> np.ndarray:
-    """Sums of recursive divisors for 0..limit (index 0 unused)."""
-    check_budget(limit, 1)
-    return _b_array(limit)
-
-
-def g_array(limit: int) -> np.ndarray:
-    """Ordered factorization counts for 0..limit (index 0 unused)."""
-    check_budget(limit, 1)
-    return _g_array(limit)
-
-
-def d_array(limit: int) -> np.ndarray:
-    """Divisor counts for 0..limit (index 0 unused)."""
-    check_budget(limit, 1)
-    return _d_array(limit)
-
-
-def sigma_array(limit: int) -> np.ndarray:
-    """Divisor sums for 0..limit (index 0 unused)."""
-    check_budget(limit, 1)
-    return _sigma_array(limit)
-
-
-TABLE_BUILDERS = {
-    "a": _a_array,
-    "b": _b_array,
-    "g": _g_array,
-    "d": _d_array,
-    "sigma": _sigma_array,
+_TABLES = {
+    "a": (0, True),
+    "b": (1, True),
+    "g": (None, True),
+    "d": (0, False),
+    "sigma": (1, False),
 }
+
+
+def _build(fn: str, limit: int) -> np.ndarray:
+    x, recursive = _TABLES[fn]
+    if x is None:
+        arr = np.zeros(limit + 1, dtype=np.int64)
+        arr[1] = 1
+    else:
+        arr = np.arange(limit + 1, dtype=np.int64)
+        arr **= x  # in place: no second full-length array
+        arr[0] = 0
+    return _sieve(arr, None if recursive else x)
+
+
+TABLE_BUILDERS = {fn: partial(_build, fn) for fn in _TABLES}
 
 
 def table_array(fn: str, limit: int, *, max_memory: int | None = None) -> np.ndarray:
@@ -154,3 +116,28 @@ def table_array(fn: str, limit: int, *, max_memory: int | None = None) -> np.nda
         raise ValueError(f"unknown table function {fn!r}; choose from {sorted(TABLE_BUILDERS)}")
     check_budget(limit, 1, max_memory)
     return builder(limit)
+
+
+def a_array(limit: int) -> np.ndarray:
+    """Counts of recursive divisors for 0..limit (index 0 unused)."""
+    return table_array("a", limit)
+
+
+def b_array(limit: int) -> np.ndarray:
+    """Sums of recursive divisors for 0..limit (index 0 unused)."""
+    return table_array("b", limit)
+
+
+def g_array(limit: int) -> np.ndarray:
+    """Ordered factorization counts for 0..limit (index 0 unused)."""
+    return table_array("g", limit)
+
+
+def d_array(limit: int) -> np.ndarray:
+    """Divisor counts for 0..limit (index 0 unused)."""
+    return table_array("d", limit)
+
+
+def sigma_array(limit: int) -> np.ndarray:
+    """Divisor sums for 0..limit (index 0 unused)."""
+    return table_array("sigma", limit)

@@ -37,6 +37,7 @@ coordinate of some block.  The side column sums to b(n) itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Iterator
 
 import numpy as np
@@ -195,6 +196,14 @@ class SvgStyle:
     stroke_width: float = 1.0
     margin: int = 2
     shade_by_depth: bool = True
+
+    def __post_init__(self) -> None:
+        # SVG forbids a negative stroke width and a negative viewBox size; any
+        # negative margin crops the drawing, and a large one makes that size negative.
+        if not 0 <= self.stroke_width < inf:
+            raise ValueError(f"stroke_width must be finite and >= 0, got {self.stroke_width}")
+        if self.margin < 0:
+            raise ValueError(f"margin must be >= 0, got {self.margin}")
 
 
 _STROKE = "#222222"

@@ -182,6 +182,40 @@ def test_tree_budget_exit(capsys):
     assert "224" in err
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--margin", "-100"),
+        ("--stroke-width", "-1"),
+        ("--stroke-width", "inf"),
+        ("--stroke-width", "nan"),
+    ],
+)
+def test_tree_refuses_a_style_svg_forbids(tmp_path, capsys, option, value):
+    path = tmp_path / "tree.svg"
+    for out in ([], ["-o", str(path)]):
+        code, stdout, err = run(capsys, "tree", "12", option, value, *out)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert option.lstrip("-").replace("-", "_") in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "a", "10", "--max-memory"), ("tree", "12", "--budget")],
+    ids=["table-max-memory", "tree-budget"],
+)
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_budget_options_take_positive_integers(capsys, argv, value):
+    # Neither value admits any work, so both are usage errors before any runs.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected a positive integer" in captured.err
+
+
 def test_tree_unwritable_path(capsys):
     code, _, err = run(capsys, "tree", "10", "-o", "/nonexistent-dir/x.svg")
     assert code == EXIT_IO

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from recdiv import MemoryGuardError, a, b, d, g, sieve, sigma
+from recdiv.cli import build_parser
 from recdiv.sieve import (
     INT64_SAFE_LIMIT,
     TABLE_BUILDERS,
@@ -17,6 +18,7 @@ from recdiv.sieve import (
 )
 
 LIMIT = 2000
+PUBLIC_SIEVES = [a_array, b_array, d_array, g_array, sigma_array]
 
 
 def test_arrays_match_per_n_evaluators():
@@ -47,19 +49,32 @@ def test_overflow_guard_refuses_unsafe_bounds():
         check_budget(INT64_SAFE_LIMIT + 1, 1, max_memory=10**20)
 
 
-def test_overflow_guard_names_a_bound_past_the_decimal_digit_limit():
+@pytest.mark.parametrize("build", PUBLIC_SIEVES, ids=lambda build: build.__name__)
+def test_overflow_guard_names_a_bound_past_the_decimal_digit_limit(build):
     # str refuses integers of more than 4,300 digits, so the guard names them
     # by bit length and still raises its own errors.
     with pytest.raises(OverflowError, match="^bound a 16610-bit integer exceeds "):
-        a_array(10**5000)
+        build(10**5000)
     with pytest.raises(ValueError, match="^limit must be >= 1, got a negative 16610-bit integer$"):
         check_budget(-(10**5000), 1)
 
 
-def test_memory_guard_reports_footprint(monkeypatch):
+@pytest.mark.parametrize("build", PUBLIC_SIEVES, ids=lambda build: build.__name__)
+def test_memory_guard_reports_footprint(monkeypatch, build):
     monkeypatch.setattr(sieve, "DEFAULT_MAX_MEMORY", 1000)
-    with pytest.raises(MemoryGuardError, match="bytes"):
-        a_array(10**6)
+    refusal = "8,000,008 bytes .* sieve.DEFAULT_MAX_MEMORY allows 1,000$"
+    with pytest.raises(MemoryGuardError, match=refusal):
+        build(10**6)
+
+
+def test_one_spec_names_every_table():
+    # _TABLES defines each table once; the builders, the public names and the
+    # table subcommand's choices all follow from it.
+    names = ["a", "b", "d", "g", "sigma"]
+    assert sorted(sieve._TABLES) == sorted(TABLE_BUILDERS) == names
+    assert [build.__name__ for build in PUBLIC_SIEVES] == [f"{fn}_array" for fn in names]
+    table = build_parser()._subparsers._group_actions[0].choices["table"]
+    assert next(action for action in table._actions if action.dest == "fn").choices == names
 
 
 def test_table_array_dispatch():

@@ -371,3 +371,24 @@ def test_svg_style_options():
         line.split('fill="')[1].split('"')[0] for line in shaded.splitlines() if "rect" in line
     }
     assert len(shaded_fills) > 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("margin", -1),
+        ("stroke_width", -1.0),
+        ("stroke_width", float("inf")),
+        ("stroke_width", float("nan")),
+    ],
+)
+def test_svg_style_refuses_values_svg_forbids(field, value):
+    # A negative margin makes the viewBox size negative; SVG forbids that and
+    # a negative stroke width, and neither inf nor nan is a length.
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value}$"):
+        SvgStyle(**{field: value})
+
+
+def test_svg_style_admits_zero():
+    svg = to_svg(layout(10), SvgStyle(stroke_width=0, margin=0))
+    assert 'viewBox="0 -18 18 18"' in svg and 'stroke-width="0"/>' in svg

@@ -3,11 +3,15 @@
 Exit codes: 0 success, 1 I/O failure, 2 usage, 3 overflow guard,
 4 memory guard, 5 verification failure, 6 work budget exceeded,
 7 internal check failed (two routes to the same value disagreed).
+
+`main` may be called many times in one process. It builds its parser once,
+on the first call, and every later call parses with that same parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Iterable
 
@@ -104,7 +108,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """Return the recdiv parser, built on the first call and shared after it.
+
+    Parsing leaves a parser as it was: each parse returns a fresh namespace,
+    so no option of one call carries over to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="recdiv",
         description="Recursive divisor function toolkit: exact evaluators, sieves, "
@@ -158,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as exc:

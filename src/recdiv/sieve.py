@@ -66,8 +66,9 @@ def _sieve(arr: np.ndarray, power: int | None = None) -> np.ndarray:
     """Add one term per n >= 1 to every multiple k*n (k >= 2) in arr, in place.
 
     Recursive mode (power None): the term is arr[n] itself, final by the time
-    it is read.  Plain mode: the term is n**power, built on the fly so no
-    second full-length array exists.
+    it is read.  Plain mode: the term is n**power, power 0 or 1, built one block
+    at a time: the scalar 1, or the block's arange of at most limit/4 + 1 values,
+    freed before the next block's is built.
     """
     limit = len(arr) - 1
     root = isqrt(limit)
@@ -76,10 +77,16 @@ def _sieve(arr: np.ndarray, power: int | None = None) -> np.ndarray:
     low = root + 1
     while low <= limit // 2:
         top = min(2 * low, limit // 2 + 1)
-        src = arr[low:top] if power is None else np.arange(low, top, dtype=np.int64) ** power
+        if power is None:
+            src = arr[low:top]
+        elif power:
+            src = np.arange(low, top, dtype=np.int64)
+        else:
+            src = np.broadcast_to(np.int64(1), top - low)  # the scalar 1 as a view
         for k in range(2, limit // low + 1):
             stop = min(top, limit // k + 1)
             arr[k * low : k * stop : k] += src[: stop - low]
+        del src
         low = top
     return arr
 

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import sys
 import tracemalloc
@@ -21,7 +22,7 @@ from recdiv.errors import MemoryGuardError
 from recdiv.formats import CHUNK, ExportFormat, format_table, parse_table
 from recdiv.golden import A_FIRST_96
 from recdiv.sieve import INT64_SAFE_LIMIT, table_array
-from recdiv.tree import layout, to_svg
+from recdiv.tree import SvgStyle, layout, to_svg
 
 
 def run(capsys, *argv):
@@ -437,3 +438,58 @@ def test_records_takes_no_memory_flag(capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--max-memory", "100"])
         assert exc.value.code == EXIT_USAGE
+
+
+def run_any(capsys, *argv):
+    """run, with argparse's own exits (usage errors, --help) read as exit codes."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# Successes, argparse exits and a command's own usage error, with an option
+# (--no-shading) that must not outlive its call.
+SEQUENCE = [
+    ("eval", "12"),
+    ("table", "x", "10"),
+    ("eval", "0"),
+    ("tree", "12", "--no-shading"),
+    ("tree", "12"),
+    ("table", "a", "10", "--format", "json"),
+    ("records", "all", "100", "--format", "bfile"),
+    ("verify", "tables"),
+    (),
+    ("--help",),
+]
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    run_any(capsys, "eval", "12")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in SEQUENCE:
+        run_any(capsys, *argv)
+    assert built == []
+
+
+def test_a_sequence_of_calls_gives_the_same_results_twice(capsys):
+    first = [run_any(capsys, *argv) for argv in SEQUENCE]
+    assert first == [run_any(capsys, *argv) for argv in SEQUENCE]
+    assert [code for code, _, _ in first] == [0, 2, 2, 0, 0, 0, 2, 0, 2, 0]
+
+
+def test_an_option_does_not_carry_over_to_the_next_call(capsys):
+    tree = layout(12)
+    flat = to_svg(tree, SvgStyle(shade_by_depth=False))
+    assert run_any(capsys, "tree", "12", "--no-shading")[1] == flat
+    shaded = run_any(capsys, "tree", "12")[1]
+    assert shaded == to_svg(tree) != flat

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -75,6 +76,26 @@ def test_one_spec_names_every_table():
     assert [build.__name__ for build in PUBLIC_SIEVES] == [f"{fn}_array" for fn in names]
     table = build_parser()._subparsers._group_actions[0].choices["table"]
     assert next(action for action in table._actions if action.dest == "fn").choices == names
+
+
+def _traced_peak(fn, limit):
+    tracemalloc.start()
+    try:
+        table_array(fn, limit)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_plain_tables_peak_near_the_one_array_check_budget_charges():
+    # a peaks at its one int64 array. d adds its term 1 as a scalar, so it
+    # holds nothing more; sigma holds one block's term at a time, at most
+    # limit/4 + 1 values. Both used to hold two block arrays at once.
+    limit = 10**6
+    slack = 64 * 1024
+    one_array = _traced_peak("a", limit)
+    assert _traced_peak("d", limit) <= one_array + slack
+    assert _traced_peak("sigma", limit) <= one_array + 8 * (limit // 4 + 1) + slack
 
 
 def test_table_array_dispatch():

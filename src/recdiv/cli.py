@@ -46,14 +46,18 @@ def _format_arg(text: str) -> formats.ExportFormat:
         raise argparse.ArgumentTypeError(f"unknown format {text!r}; use csv, json, or bfile")
 
 
+def _past_int_str_limit(what: str) -> str:
+    return (
+        f"{what} more than {sys.get_int_max_str_digits()} digits, the int-to-str limit; "
+        "sys.set_int_max_str_digits or PYTHONINTMAXSTRDIGITS sets it"
+    )
+
+
 def _field(name: str, value: object) -> str:
     try:
         return f"{name}={value}"
     except ValueError:
-        raise OverflowError(
-            f"eval cannot print {name}: it has more than {sys.get_int_max_str_digits()} digits, "
-            "the int-to-str limit; sys.set_int_max_str_digits or PYTHONINTMAXSTRDIGITS sets it"
-        ) from None
+        raise OverflowError(_past_int_str_limit(f"eval cannot print {name}: it has")) from None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -102,9 +106,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    try:
+        value = int(text)
+    except ValueError:
+        # Digits fail int() only past the int-to-str limit; count them, do not echo them.
+        if text.isdecimal():
+            refusal = f"expected a positive integer, got {len(text)} digits,"
+            raise argparse.ArgumentTypeError(_past_int_str_limit(refusal)) from None
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 

@@ -1,42 +1,30 @@
 """Recursions and explicit formulas over one- to three-prime shapes.
 
-Everything here except b_from_counts and B_from_A is derived independently of
-the evaluators in core.py, precisely so the two routes can be cross-checked
-against each other.  Those two sum counts over n's divisors with the walk that
-core.a_sized uses, each count from MacMahon's formula; they share nothing with
-the per-prime sums stepped in m that give core.b, which list no divisor.
+Everything here is derived independently of the per-prime sums stepped in m
+that give core.a and core.b, which list no divisor, precisely so the two
+routes can be cross-checked.  b_from_counts and B_from_A sum over n's divisors
+with the walk of core.a_sized, each g(n/d) read from core.kappa_table at
+x = 0.
 
 The paper's recursions for a and b on p^c, p^c q^d and p^c q^d r^e are one
-identity.  With F = kappa(., x), id_x: n -> n^x, δ the Dirichlet unit, μ the
-Möbius function and ∗ Dirichlet convolution, the definition reads
-F ∗ (2δ − 1) = id_x.  Convolving with μ (1 ∗ μ = δ) gives F ∗ (2μ − δ) = J_x,
-Jordan's totient id_x ∗ μ, with J_x(p^e) = (p^x − 1)·p^{x(e−1)}.  μ is (−1)^|T|
-on the product of a set T of n's primes, 0 on other divisors, and T = ∅ gives
-2F(n), so
-
-    kappa(n, x) = J_x(n) + 2 Σ_{∅≠T⊆primes(n)} (−1)^{|T|+1} kappa(n / Π_{p∈T} p, x).
-
-J_0(n) = 0 for n > 1 and J_1 = φ.  The three-prime b is this 7-term body, all
-of it sums of b (no mixed term); its gate is exact agreement with the per-n
-evaluator on the full verification grid.  The recursion takes any number of
-primes; shapes keep at most three for a_closed and B_closed.
-
-Every term on the right is kappa of a divisor of n, so kappa_table fills the
-recursion bottom-up over n's exponent box, in lexicographic order.  A term
-lowers some exponents by one, which gives a lexicographically smaller vector,
-so its value is already in the table.  Nothing nests and nothing is cached.
+inclusion–exclusion identity over the primes of n with Jordan's totient J_x,
+derived in core.py and filled bottom-up by core.kappa_table, which nests no
+call and caches nothing.  J_0(n) = 0 for n > 1 and J_1 = φ.  The three-prime
+b is this 7-term body, all of it sums of b (no mixed term); its gate is exact
+agreement with the per-n evaluator on the full verification grid.  The
+recursion takes any number of primes; shapes keep at most three for a_closed
+and B_closed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import comb, prod
+from math import comb
 from operator import mul
 
 from .arith import factorize, is_prime
-from .core import divisor_lattice
+from .core import divisor_lattice, kappa_table
 
 
 @dataclass(frozen=True)
@@ -92,31 +80,6 @@ def a_distinct_primes(k: int) -> int:
     for j in range(1, k + 1):
         values.append(1 + sum(comb(j, i) * values[i] for i in range(j)))
     return values[k]
-
-
-def kappa_table(pairs: tuple[tuple[int, int], ...], x: int) -> dict[tuple[int, ...], int]:
-    """kappa(d, x) for every divisor d of n = Π p^e over pairs, keyed by d's exponent tuple.
-
-    Values are listed in product()'s order, where lowering one exponent by one
-    steps back by that prime's stride, Π (e + 1) over the primes after it.
-    Each prime has a column of its factors J_x(p^e), 1 at e = 0.  terms holds
-    the index of d / Π_{p∈T} p and 2(−1)^{|T|+1} for each T, T = ∅ first.
-    """
-    jordan = [[1] + [(p**x - 1) * p ** (x * (c - 1)) for c in range(1, e + 1)] for p, e in pairs]
-    strides = [prod(e + 1 for _, e in pairs[i + 1 :]) for i in range(len(pairs))]
-    boxes = [range(e + 1) for _, e in pairs]
-    values: list[int] = []
-    for exps in product(*boxes):
-        total = 1
-        terms = [(len(values), -2)]
-        for column, e, stride in zip(jordan, exps, strides):
-            total *= column[e]
-            if e:
-                terms += [(i - stride, -c) for i, c in terms]
-        for i, c in terms[1:]:
-            total += c * values[i]
-        values.append(total)
-    return dict(zip(product(*boxes), values))
 
 
 def a_recursion(shape: PrimePowerShape) -> int:

@@ -82,27 +82,38 @@ C(j, m) = C(j + 1, m + 1) − C(j, m + 1) over j gives c_{m+1} plus
 
     c_m = 2 c_{m+1} + (−1)^{Ω−m} C(Ω + 1, m + 1),  c_{Ω+1} = 0,
 
-each binomial from the last by one multiply and one exact divide.  The
-divisor walk survives only where one value per divisor is the output
-(a_sized, and closedforms.b_from_counts behind B_from_A).
-There g of each cofactor n/d > 1, with exponents r_k, is MacMahon's sum
-Σ_m c_m Π_k C(r_k + m − 1, r_k) with the same c_m, since j may run to Ω(n).
-That column of g(n/d) depends only on n's ordered exponent tuple, so it is
-computed once per tuple (n ≤ 10^4 has 148 tuples), and only the divisors
-themselves are listed per n.  The definitional recursion and the
-sub-signature enumeration of a are kept in the tests as oracles, and
-g_enumerated is a further, independent oracle for g: it walks every chain
+each binomial from the last by one multiply and one exact divide.
+
+The divisor walk survives only where one value per divisor is the output
+(a_sized, and closedforms.b_from_counts behind B_from_A), and its g(n/d)
+column comes from the paper's own recursion.  Convolving F ∗ (2δ − 1) = id_x
+with the Möbius function μ gives F ∗ (2μ − δ) = J_x, Jordan's totient, with
+J_x(p^e) = (p^x − 1)·p^{x(e−1)}; μ is (−1)^|T| on the product of a set T of
+n's primes and 0 on other divisors, and T = ∅ gives 2F(n), so
+
+    kappa(n, x) = J_x(n) + 2 Σ_{∅≠T⊆primes(n)} (−1)^{|T|+1} kappa(n / Π_{p∈T} p, x).
+
+Each term on the right is kappa of a proper divisor of n, so kappa_table
+fills the recursion bottom-up over n's exponent box in lexicographic order.
+At x = 0 it holds a(d) in divisor_lattice's order, n/d at the mirrored
+index, so the column is the table reversed and halved, with g(1) = 1.  J_0
+reads no prime, so one column serves each ordered exponent tuple (n ≤ 10^4
+has 148).  a_sized checks the column's total against the per-prime sums.
+The definitional recursion, the sub-signature enumeration of a and
+MacMahon's per-divisor sum are kept in the tests as oracles, and g_enumerated
+is a further, independent oracle for g: it walks every chain
 n → n/f_1 → ... → 1 of an ordered factorization on an explicit stack and
 counts the chains that reach 1, memoizing no count.
 
 All functions are pure.  There is one process-local functools cache, safe
 to share across threads under CPython and bounded in entries: _g_column holds
 the G_COLUMN_CACHE (2048) most recently used columns, one tuple of d(n)
-integers each.  n ≤ 10^5 has 351 tuples and d(n) ≤ 128; n ≤ 2.5·10^6, the
-larger verify budget, has 1,061 tuples and d(n) ≤ 320, so they all fit.  In
-general the cache holds at most 2048 times the largest d(n) asked for.  The
-coefficient rows for Ω < 64, every n below 2^64, are built once at import
-(64 tuples, about 77 KiB); a larger Ω computes its row per call.
+integers each, from one kappa_table at x = 0.  n ≤ 10^5 has 351 tuples and
+d(n) ≤ 128; n ≤ 2.5·10^6, the larger verify budget, has 1,061 tuples and
+d(n) ≤ 320, so they all fit.  In general the cache holds at most 2048 times
+the largest d(n) asked for.  The coefficient rows for Ω < 64, every n below
+2^64, are built once at import (64 tuples, about 77 KiB); a larger Ω computes
+its row per call.
 """
 
 from __future__ import annotations
@@ -110,7 +121,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from itertools import product
+from math import prod
 from operator import itemgetter, mul
 
 # proper_divisors stays importable for perfbench's tracer, which counts calls
@@ -202,24 +214,40 @@ def divisor_lattice(fac: Factorization) -> tuple[list[int], tuple[int, ...]]:
     return divisors, _g_column(tuple(e for _, e in fac.pairs))
 
 
+def kappa_table(pairs: tuple[tuple[int, int], ...], x: int) -> dict[tuple[int, ...], int]:
+    """kappa(d, x) for every divisor d of n = Π p^e over pairs, keyed by d's exponent tuple.
+
+    Values are listed in product()'s order, where lowering one exponent by one
+    steps back by that prime's stride, Π (e + 1) over the primes after it.
+    Each prime has a column of its factors J_x(p^e), 1 at e = 0.  terms holds
+    the index of d / Π_{p∈T} p and 2(−1)^{|T|+1} for each T, T = ∅ first.
+    """
+    jordan = [[1] + [(p**x - 1) * p ** (x * (c - 1)) for c in range(1, e + 1)] for p, e in pairs]
+    strides = [prod(e + 1 for _, e in pairs[i + 1 :]) for i in range(len(pairs))]
+    boxes = [range(e + 1) for _, e in pairs]
+    values: list[int] = []
+    for exps in product(*boxes):
+        total = 1
+        terms = [(len(values), -2)]
+        for column, e, stride in zip(jordan, exps, strides):
+            total *= column[e]
+            if e:
+                terms += [(i - stride, -c) for i, c in terms]
+        for i, c in terms[1:]:
+            total += c * values[i]
+        values.append(total)
+    return dict(zip(product(*boxes), values))
+
+
 @lru_cache(maxsize=G_COLUMN_CACHE)
 def _g_column(exponents: tuple[int, ...]) -> tuple[int, ...]:
     """g(n/d) over the divisors d of any n with these ordered exponents.
 
-    Divisors are walked as exponent vectors in divisor_lattice's order.  With
-    j running to Ω(n) for every divisor, MacMahon's formula gives
-    g(n/d) = Σ_m c_m Π_k C(r_k + m − 1, r_k) for d < n, r_k being the
-    exponents of n/d; so each divisor carries, per prime, the row of those
-    binomials at its cofactor's exponent.  g(1) = 1 ends the column.
+    a(d) at x = 0 does not read the primes, so 2 stands in for each; the
+    table reversed lists a(n/d), halved for n/d > 1, and g(1) = 1 ends it.
     """
-    omega = sum(exponents)
-    top = max(exponents, default=0)
-    rows = [tuple(comb(r + j, r) for j in range(omega)) for r in range(top + 1)]
-    factors: list[tuple[tuple[int, ...], ...]] = [(_coefficients(omega),)]
-    for e in exponents:
-        steps = [rows[e - c] for c in range(e + 1)]
-        factors = [f + (row,) for f in factors for row in steps]
-    return tuple(sum(map(prod, zip(*f))) for f in factors[:-1]) + (1,)
+    counts = tuple(kappa_table(tuple((2, e) for e in exponents), 0).values())
+    return tuple(count // 2 for count in reversed(counts[1:])) + (1,)
 
 
 def kappa(n: int, x: int) -> int:

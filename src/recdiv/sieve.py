@@ -3,19 +3,20 @@
 `_TABLES` is the one place a table is defined, as name -> (x, recursive).
 Each table starts at n**x for n >= 1, except g (x None), which starts at the
 Dirichlet unit: 1 at n = 1, 0 elsewhere.  That start value is the n | n
-term.  One kernel, `_sieve`, then adds a term for each n to all multiples
-k*n (k >= 2), in one of two modes:
+term.  One kernel, `_sieve`, then adds arr[n] for each n to all multiples
+k*n (k >= 2), in one of two orders:
 
-- recursive (a, b, g): the term is arr[n], the finished value at n;
-- plain divisor sum (d, sigma): the term is the fixed n**x, x = 0 or 1.
+- recursive (a, b, g), increasing n: arr[n] is the finished value at n;
+- plain divisor sum (d, sigma), decreasing n: arr[n] still holds n**x, since
+  every add so far came from some m > n and landed at k*m >= 2m > n.
 
-Schedule: for n <= isqrt(N) one strided slice add per n, in increasing n.
-Above that, n runs in doubling blocks [L, 2L) starting at L = isqrt(N) + 1,
-with one add per multiplier k covering the whole block at once:
-arr[k*L : k*top : k] += src[L:top].  Doubling blocks are safe in recursive
-mode: every proper divisor of n in [L, 2L) is at most n/2 < L, so each source
-in the block is final before the block starts, and every target k*n >= 2L
-lies past the block, so no add in the block changes one of its sources.
+Schedule: for n <= isqrt(N) one strided slice add per n.  Above that, n runs
+in doubling blocks [L, 2L) starting at L = isqrt(N) + 1, with one add per
+multiplier k covering the whole block at once: arr[k*L : k*top : k] +=
+arr[L:top], a view, so no second array is held.  Plain mode runs the same
+steps in reverse.  Every proper divisor of n in [L, 2L) is below L, so in
+recursive mode a block's sources are final before it starts, and every
+target k*n >= 2L lies past the block, so no add in it changes one of them.
 That is about isqrt(N) + 2*sqrt(N) numpy calls in all, where one call per n
 would be N/2.
 
@@ -30,6 +31,7 @@ larger bounds are refused loudly rather than sieved.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain, pairwise
 from math import isqrt
 
 import numpy as np
@@ -62,32 +64,27 @@ def check_budget(limit: int, arrays: int, max_memory: int | None = None) -> None
         )
 
 
-def _sieve(arr: np.ndarray, power: int | None = None) -> np.ndarray:
-    """Add one term per n >= 1 to every multiple k*n (k >= 2) in arr, in place.
+def _sieve(arr: np.ndarray, recursive: bool) -> np.ndarray:
+    """Add arr[n] for each n >= 1 to every multiple k*n (k >= 2) in arr, in place.
 
-    Recursive mode (power None): the term is arr[n] itself, final by the time
-    it is read.  Plain mode: the term is n**power, power 0 or 1, built one block
-    at a time: the scalar 1, or the block's arange of at most limit/4 + 1 values,
-    freed before the next block's is built.
+    Recursive mode runs n upwards and plain mode downwards; steps are the
+    n <= isqrt(limit) one at a time, then the blocks between edges.
     """
     limit = len(arr) - 1
     root = isqrt(limit)
-    for n in range(1, root + 1):
-        arr[2 * n :: n] += arr[n] if power is None else n**power
-    low = root + 1
-    while low <= limit // 2:
-        top = min(2 * low, limit // 2 + 1)
-        if power is None:
-            src = arr[low:top]
-        elif power:
-            src = np.arange(low, top, dtype=np.int64)
-        else:
-            src = np.broadcast_to(np.int64(1), top - low)  # the scalar 1 as a view
+    edges = [root + 1]
+    while edges[-1] <= limit // 2:
+        edges.append(min(2 * edges[-1], limit // 2 + 1))
+    upward = pairwise(chain(range(1, root + 1), edges))
+    downward = ((low, top) for top, low in pairwise(chain(reversed(edges), range(root, 0, -1))))
+    for low, top in upward if recursive else downward:
+        if low <= root:
+            arr[2 * low :: low] += arr[low]
+            continue
+        src = arr[low:top]
         for k in range(2, limit // low + 1):
             stop = min(top, limit // k + 1)
             arr[k * low : k * stop : k] += src[: stop - low]
-        del src
-        low = top
     return arr
 
 
@@ -109,7 +106,7 @@ def _build(fn: str, limit: int) -> np.ndarray:
         arr = np.arange(limit + 1, dtype=np.int64)
         arr **= x  # in place: no second full-length array
         arr[0] = 0
-    return _sieve(arr, None if recursive else x)
+    return _sieve(arr, recursive)
 
 
 TABLE_BUILDERS = {fn: partial(_build, fn) for fn in _TABLES}

@@ -217,6 +217,37 @@ def test_budget_options_take_positive_integers(capsys, argv, value):
     assert captured.out == "" and "expected a positive integer" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("eval", "1e3"), ("table", "a", "10", "--max-memory", "1e9")],
+    ids=["eval", "table-max-memory"],
+)
+def test_integer_arguments_name_the_text_they_refuse(capsys, argv):
+    # argparse's own message for a ValueError names the type function.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": expected a positive integer, got '{argv[-1]}'\n")
+    assert "_positive_int" not in captured.err
+
+
+def test_integer_argument_past_the_int_to_str_limit_is_counted_not_echoed(capsys):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "7" * (limit + 1)])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"argument n: expected a positive integer, got {limit + 1} digits, "
+        f"more than {limit} digits, the int-to-str limit; "
+        "sys.set_int_max_str_digits or PYTHONINTMAXSTRDIGITS sets it\n"
+    )
+    assert "7" * 8 not in captured.err
+
+
 def test_tree_unwritable_path(capsys):
     code, _, err = run(capsys, "tree", "10", "-o", "/nonexistent-dir/x.svg")
     assert code == EXIT_IO

@@ -411,6 +411,8 @@ def lattice_pairs(fac):
 def lattice_walk(fac):
     """Oracle: lattice_pairs as one uncached MacMahon walk per call.
 
+    core fills the g(n/d) column from the paper's recursion (kappa_table at
+    x = 0); this is the one MacMahon route left, kept as its oracle.
     Divisors are built as exponent vectors, the last prime fastest, each
     carrying per prime the binomial row at its cofactor's exponent, and
     g(n/d) = Σ_m c_m Π_k C(r_k + m − 1, r_k) for d < n; g(1) = 1.  The
@@ -447,6 +449,28 @@ def test_divisor_lattice_matches_the_walk_oracle():
         lattice = lattice_pairs(fac)
         assert lattice == lattice_walk(fac), n
         assert lattice[0] == (1, g(n)) and lattice[-1] == (n, 1)
+
+
+def test_count_table_reads_no_prime():
+    # At x = 0 every Jordan factor past e = 0 is 0, so _g_column may carry
+    # each exponent on the placeholder 2: any primes give the same table.
+    def counts(pairs):
+        return list(core.kappa_table(pairs, 0).items())
+
+    tables = {}
+    large = (1009, 1013, 1019, 1021, 1031, 1033)
+    for n in range(1, 10**4 + 1):
+        pairs = factorize(n).pairs
+        exponents = tuple(e for _, e in pairs)
+        if exponents not in tables:
+            tables[exponents] = counts(tuple((2, e) for e in exponents))
+            assert counts(tuple(zip(large, exponents))) == tables[exponents], exponents
+        assert counts(pairs) == tables[exponents], n
+    assert len(tables) == ordered_exponent_tuples(10**4)
+
+
+def test_closedforms_reads_the_one_recursion_table():
+    assert closedforms.kappa_table is core.kappa_table
 
 
 def test_divisor_lattice_orders_divisors_by_prime_order():

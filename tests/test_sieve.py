@@ -88,14 +88,14 @@ def _traced_peak(fn, limit):
 
 
 def test_plain_tables_peak_near_the_one_array_check_budget_charges():
-    # a peaks at its one int64 array. d adds its term 1 as a scalar, so it
-    # holds nothing more; sigma holds one block's term at a time, at most
-    # limit/4 + 1 values. Both used to hold two block arrays at once.
+    # a peaks at its one int64 array. d and sigma run n downwards and read
+    # each block's terms from their own table as a view, so they hold nothing
+    # more.
     limit = 10**6
     slack = 64 * 1024
     one_array = _traced_peak("a", limit)
     assert _traced_peak("d", limit) <= one_array + slack
-    assert _traced_peak("sigma", limit) <= one_array + 8 * (limit // 4 + 1) + slack
+    assert _traced_peak("sigma", limit) <= one_array + slack
 
 
 def test_table_array_dispatch():

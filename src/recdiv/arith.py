@@ -13,7 +13,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import budget_error
 
 # Miller-Rabin witnesses: the first thirteen primes.  After the first k of
 # them pass, n is proven prime when it lies below the k-th bound, the
@@ -70,6 +70,7 @@ _TABLE_PRIMES = _prime_table(_TABLE_BOUND)
 
 # The 168 primes below TRIAL_BOUND, as Python ints, and their product (about
 # 1,400 bits): one gcd with the product tells factorize which of them divide n.
+# The record search reads its candidates' primes from the tuple too.
 _SMALL_PRIMES = tuple(_TABLE_PRIMES[_TABLE_PRIMES < TRIAL_BOUND].tolist())
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
@@ -80,11 +81,15 @@ _MEDIUM_RECIPROCALS = 1.0 / _MEDIUM_PRIMES
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality check with the first thirteen primes as witnesses.
+    """Miller-Rabin, proven, below 3.317·10^24; Baillie-PSW at and above it.
 
-    Proven for every n below 3.317·10^24 (3317044064679887385961981, the
-    smallest strong pseudoprime to all thirteen bases).  Above that bound a
-    True means n is a strong probable prime to those bases, not a proof.
+    Below 3317044064679887385961981, the smallest strong pseudoprime to the
+    first thirteen primes as bases, the rounds with those bases decide n,
+    stopping at the first bound n lies below.  At and above it, n takes one
+    strong round to base 2 and one strong Lucas test with Selfridge's
+    parameters (_strong_lucas; Baillie and Wagstaff, "Lucas pseudoprimes",
+    1980).  A True there means n is a BPSW probable prime: no composite is
+    known to pass both tests, but that is not a proof.
     """
     if n < 2:
         return False
@@ -96,7 +101,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for w, bound in zip(_MR_WITNESSES, _MR_PROVEN_BELOW):
+    proven = n < _MR_PROVEN_BELOW[-1]
+    for w, bound in zip(_MR_WITNESSES if proven else (2,), _MR_PROVEN_BELOW):
         x = pow(w, d, n)
         if x not in (1, n - 1):
             for _ in range(s - 1):
@@ -107,7 +113,65 @@ def is_prime(n: int) -> bool:
                 return False
         if n < bound:
             return True
-    return True
+    return _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 1 with Selfridge's parameters.
+
+    D is the first of 5, −7, 9, −11, ... with Jacobi symbol (D/n) = −1, and
+    the sequences are U and V for P = 1, Q = (1 − D)/4.  Writing n + 1 as
+    d·2^s with d odd, n passes when U_d ≡ 0 or V_{d·2^r} ≡ 0 (mod n) for
+    some r < s.  A square n has no such D and fails at once; a D sharing a
+    factor with n proves n composite unless n = |D|.  U and V go from index
+    k to 2k by U_2k = U_k·V_k and V_2k = V_k^2 − 2Q^k, and from k to k + 1
+    by U_k+1 = (U_k + V_k)/2 and V_k+1 = (D·U_k + V_k)/2, halved mod n.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0:
+            return n == abs(D)
+        D = -D - 2 if D > 0 else 2 - D
+    q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    u, v, qk = 0, 2, 1
+    for bit in bin(d)[2:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = u + v, D * u + v
+            u = (u + n * (u & 1)) // 2 % n
+            v = (v + n * (v & 1)) // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
 
 
 @dataclass(frozen=True)
@@ -267,9 +331,7 @@ def _rho_split(m: int, n: int) -> list[tuple[int, int]]:
             factor, steps = _pollard_brent(part, c, RHO_BUDGET - spent)
             spent += steps
             if factor is None:
-                raise BudgetError(
-                    f"factoring {n} exceeded the Pollard-Brent budget of {RHO_BUDGET} steps"
-                )
+                raise budget_error("factoring", n, RHO_BUDGET, "arith.RHO_BUDGET", " rho steps")
             if factor != part:
                 break
             c += 1
@@ -293,9 +355,11 @@ def factorize(n: int) -> Factorization:
     3. Pollard-Brent rho splits a composite part the pass did not, within
        RHO_BUDGET steps in all, and raises BudgetError past them.
 
-    Every prime is proven on the way: the small primes by the table, the
+    Every prime is decided on the way: the small primes by the table, the
     final cofactor by that bound, and the parts _rho_split takes by
-    is_prime.  So the result skips Factorization's validation.
+    is_prime, which proves them below 3.317·10^24 and finds them BPSW
+    probable primes at and above it.  So the result skips Factorization's
+    validation.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")

@@ -128,7 +128,7 @@ from operator import itemgetter, mul
 # proper_divisors stays importable for perfbench's tracer, which counts calls
 # to recdiv.core.proper_divisors; nothing in this module makes one.
 from .arith import Factorization, d_of, divisors, factorize, proper_divisors, sigma_of  # noqa: F401
-from .errors import BudgetError
+from .errors import budget_error
 
 # Most tuples the g_enumerated oracle walks before it refuses n with BudgetError.
 TUPLE_BUDGET = 1_000_000
@@ -301,8 +301,9 @@ def g_enumerated(n: int) -> int:
         m = stack.pop()
         count += 1
         if count > TUPLE_BUDGET:
-            raise BudgetError(
-                f"ordered factorization enumeration for {n} exceeded budget {TUPLE_BUDGET}"
+            raise budget_error(
+                "ordered factorization enumeration for", n, TUPLE_BUDGET, "core.TUPLE_BUDGET",
+                " tuples",
             )
         if m not in onward:
             onward[m] = [m // f for f in above_one if f < m and m % f == 0]

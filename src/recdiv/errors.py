@@ -19,3 +19,16 @@ def bound_text(n: int) -> str:
         return str(n)
     except ValueError:
         return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
+
+
+def budget_error(task: str, value: int, budget: int, setting: str, unit: str = "") -> BudgetError:
+    """The one form of every work guard's refusal.
+
+    It names the task and the value it refused, the budget, which is the
+    most the guard admits, and the setting that changes it:
+    "<task> <value> exceeds the work budget of <budget><unit>; <setting> sets it".
+    """
+    return BudgetError(
+        f"{task} {bound_text(value)} exceeds the work budget of {bound_text(budget)}{unit}; "
+        f"{setting} sets it"
+    )

@@ -38,8 +38,8 @@ beat every smaller candidate but some m < n had f(m) ≥ f(n), the least m
 reaching max_{m<n} f(m) would set a strict record, so it would be a
 candidate below n with a value not below f(n).  The search therefore scans
 the candidates ascending with the same strict comparison as a scan of
-1..bound.  It lists them depth-first, taking each next prime when a branch
-first needs it.  There are 289 candidates up to 10^6, 4,357 up to 10^12,
+1..bound.  It lists them depth-first, reading the primes from arith's
+table.  There are 289 candidates up to 10^6, 4,357 up to 10^12,
 32,749 up to 10^18 and 172,513 up to 10^24.
 
 The walk also evaluates every candidate, by core's per-prime sums carried
@@ -63,10 +63,9 @@ integer operations per candidate.
 Every descendant of n, n itself included, has at most Ω(n) + log2(bound/n)
 prime factors, so n's vectors need no more entries than that, and they
 shrink down the tree.  Each candidate is reduced to its four scalars when
-it is popped, so no vector outlives the stack.  The root's vectors have
-bound.bit_length() entries, so a first pass lists the candidates with no
-values and refuses with BudgetError once they outnumber SEARCH_BUDGET: a
-refused bound costs that cheap pass alone, however large it is.  Each
+it is popped, so no vector outlives the stack.  The work grows with the
+number of candidates, so a bound at or past SEARCH_LIMIT, the 300,001st
+candidate, is refused with BudgetError before any is listed.  Each
 record entry comes from profile(n), which factors n again and evaluates it
 by the per-n routes; the search raises AssertionError unless its
 factorization, a, b, d and sigma equal the walk's.
@@ -87,15 +86,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import sieve
-from .arith import Factorization, is_prime
+from .arith import _SMALL_PRIMES, Factorization
 from .core import DivisorProfile, _coefficients, profile
-from .errors import BudgetError, bound_text
+from .errors import bound_text, budget_error
 
-# Most candidates search_records lists before it refuses a bound.  There are
-# 172,513 up to 10^24 (about 6 s whole process with Python 3.11 on a 2-CPU
-# VM), 284,452 up to 10^26 (about 9.5 s, 170 MB peak RSS) and 362,249 up to
-# 10^27, which is refused.
-SEARCH_BUDGET = 300_000
+# The first bound search_records refuses: the 300,001st candidate, so a
+# bound below it has at most 300,000.  There are 172,513 candidates up to
+# 10^24 (about 6 s whole process with Python 3.11 on a 2-CPU VM), 284,452 up
+# to 10^26, 300,000 up to SEARCH_LIMIT − 1 (about 8 s, 175 MB peak RSS) and
+# 362,249 up to 10^27.
+SEARCH_LIMIT = 165398522165420544000000000
 
 
 class RecordKind(Flag):
@@ -277,36 +277,6 @@ class Candidate(NamedTuple):
         return Factorization._proven(self.pairs)
 
 
-def _admit(bound: int) -> list[int]:
-    """The primes of the candidates up to bound, once they are counted.
-
-    Walks the candidates depth-first as candidates does, evaluating none,
-    and raises BudgetError once more than SEARCH_BUDGET are found.
-    """
-    primes = [2]
-    count = 0
-    stack = [(1, 0, bound.bit_length())]
-    while stack:
-        n, k, cap = stack.pop()
-        count += 1
-        if count > SEARCH_BUDGET:
-            raise BudgetError(
-                f"record search to {bound_text(bound)} exceeded the budget of "
-                f"{SEARCH_BUDGET} candidates"
-            )
-        if k == len(primes):
-            q = primes[-1] + 1
-            while not is_prime(q):
-                q += 1
-            primes.append(q)
-        for e in range(1, cap + 1):
-            n *= primes[k]
-            if n > bound:
-                break
-            stack.append((n, k + 1, e))
-    return primes
-
-
 def _binomial_rows(width: int) -> list[list[int]]:
     """rows[e][k] = C(e + k, e) for e < width and k <= width.
 
@@ -322,17 +292,19 @@ def _binomial_rows(width: int) -> list[list[int]]:
 def candidates(bound: int) -> list[Candidate]:
     """Integers up to bound with non-increasing exponents on 2, 3, 5, ..., ascending.
 
-    Depth-first: each node extends its prefix by the next prime, taken when
-    a branch first reaches it, to an exponent no larger than the last one.
+    Depth-first: each node extends its prefix by the next prime to an
+    exponent no larger than the last one.
     Each stack entry carries P_0[m] and P_1[m] for every m up to the most
     prime factors its subtree can hold, and each candidate is reduced to its
-    a, b, d and sigma when it is popped (see the module docstring).  _admit
-    counts the candidates first, so a bound with more than SEARCH_BUDGET
-    raises BudgetError before any is evaluated.
+    a, b, d and sigma when it is popped (see the module docstring).  A bound
+    at or past SEARCH_LIMIT raises BudgetError before any work.  The primes
+    come from arith's table of the 168 below 1000; a bound below
+    SEARCH_LIMIT needs the first 20 of them.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound_text(bound)}")
-    primes = _admit(bound)
+    if bound >= SEARCH_LIMIT:
+        raise budget_error("record search to", bound, SEARCH_LIMIT - 1, "records.SEARCH_LIMIT")
     found: list[Candidate] = []
     width = bound.bit_length()
     rows = _binomial_rows(width)
@@ -345,7 +317,7 @@ def candidates(bound: int) -> list[Candidate]:
         a = even + sum(map(mul, coeffs, p0))
         b = even * n + sum(map(mul, coeffs, p1))
         found.append(Candidate(n, pairs, a, b, p0[0], p1[0]))
-        p = primes[len(pairs)]
+        p = _SMALL_PRIMES[len(pairs)]
         t1 = ones
         child = n
         for e in range(1, cap + 1):
@@ -372,8 +344,9 @@ def candidates(bound: int) -> list[Candidate]:
 def search_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
     """Find every strict record-setter up to bound among the candidates.
 
-    See the module docstring for why no other n can set a record.  Any
-    bound is admitted; the work is bounded by SEARCH_BUDGET candidates.
+    See the module docstring for why no other n can set a record.  Bounds
+    below SEARCH_LIMIT are admitted, so the walk lists at most 300,000
+    candidates.
     Each entry comes from profile(n), which factors n again and evaluates
     it by the per-n routes; it must agree with the walk's values.
     """

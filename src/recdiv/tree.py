@@ -46,7 +46,7 @@ import numpy as np
 # to recdiv.tree.proper_divisors; layout reads every arm from n's divisor list.
 from .arith import divisors_of, factorize, proper_divisors  # noqa: F401
 from .core import _kappa_of
-from .errors import BudgetError
+from .errors import bound_text, budget_error
 from .formats import CHUNK
 
 DEFAULT_SQUARE_BUDGET = 1_000_000
@@ -135,7 +135,10 @@ def layout(n: int, *, budget: int = DEFAULT_SQUARE_BUDGET) -> DivisorTreeLayout:
     fac = factorize(n)
     count = _kappa_of(fac, 0)
     if count > budget:
-        raise BudgetError(f"divisor tree for {n} needs {count} squares; budget is {budget}")
+        raise budget_error(
+            f"divisor tree of {bound_text(count)} squares for", n, budget,
+            "layout's budget (tree --budget)", " squares",
+        )
     dtype = np.int64 if n * count < 2**63 else object
     sides = divisors_of(fac)
     arms = {m: [d for d in sides[:i][::-1] if m % d == 0] for i, m in enumerate(sides)}

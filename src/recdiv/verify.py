@@ -34,7 +34,7 @@ from xml.etree import ElementTree
 from . import closedforms, golden, records, sieve
 from .arith import d_of, factorize, is_prime, sigma_of
 from .core import a, a_sized, b, g_enumerated
-from .errors import BudgetError
+from .errors import budget_error
 from .tree import SvgStyle, layout, to_svg
 
 GRID_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -96,14 +96,6 @@ def _within_reference(suite: str, limit: int, reference: int) -> None:
         )
 
 
-def _within_budget(suite: str, limit: int, budget: int, setting: str) -> None:
-    if limit > budget:
-        raise BudgetError(
-            f"verify {suite} to {limit} exceeds the work budget of {budget}; "
-            f"verify.{setting} sets it"
-        )
-
-
 def verify_tables(limit: int = 96) -> SuiteReport:
     """First-96 reference values against both evaluation strategies."""
     _within_reference("tables", limit, len(golden.A_FIRST_96))
@@ -131,7 +123,8 @@ def verify_lemmas(limit: int = 5000) -> SuiteReport:
     which is the one integer kept per m.
     """
     sieve.check_budget(limit, 1)
-    _within_budget("lemmas", limit, LEMMAS_BUDGET, "LEMMAS_BUDGET")
+    if limit > LEMMAS_BUDGET:
+        raise budget_error("verify lemmas to", limit, LEMMAS_BUDGET, "verify.LEMMAS_BUDGET")
     halves = CheckResult("size-1 count is half the total count")
     scaled = CheckResult("size-k count of k*n equals size-1 count of n and the sieved g(n)")
     doubling = CheckResult("count equals twice the enumerated ordered factorizations")
@@ -199,7 +192,10 @@ def verify_closedforms(limit: int = 10_000) -> SuiteReport:
     of its own n.
     """
     sieve.check_budget(limit, 1)
-    _within_budget("closedforms", limit, CLOSEDFORMS_BUDGET, "CLOSEDFORMS_BUDGET")
+    if limit > CLOSEDFORMS_BUDGET:
+        raise budget_error(
+            "verify closedforms to", limit, CLOSEDFORMS_BUDGET, "verify.CLOSEDFORMS_BUDGET"
+        )
     count_routes = CheckResult("count: recursion and closed form match the definition")
     sum_routes = CheckResult("sum: recursion matches the definition")
     ratio_closed = CheckResult("ratio closed form matches the definition (1-2 primes)")

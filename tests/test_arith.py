@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recdiv import (
+    BudgetError,
     Factorization,
     d,
     divisors,
@@ -182,13 +183,50 @@ def test_primality_bounds_are_strong_pseudoprimes():
     witnesses = arith._MR_WITNESSES
     for k, bound in enumerate(arith._MR_PROVEN_BELOW, start=1):
         assert all(_strong_probable_prime(bound, w) for w in witnesses[:k]), k
-    # The last bound passes all thirteen bases: is_prime is proven only below it.
+    # The last bound passes all thirteen bases, so at and above it is_prime
+    # runs the Baillie-PSW test instead, which rejects it.
     last = arith._MR_PROVEN_BELOW[-1]
     assert last == 1287836182261 * 2575672364521
-    assert is_prime(last)
-    for bound in arith._MR_PROVEN_BELOW[:-1]:
+    assert not is_prime(last)
+    for bound in arith._MR_PROVEN_BELOW:
         assert not is_prime(bound)
         assert len(factorize(bound).pairs) > 1
+
+
+def test_pseudoprime_to_all_thirteen_bases_fails_the_lucas_test():
+    n = arith._MR_PROVEN_BELOW[-1]
+    assert _strong_probable_prime(n, 2)
+    assert not arith._strong_lucas(n)
+    assert factorize(n).pairs == ((1287836182261, 1), (2575672364521, 1))
+
+
+# The strong Lucas pseudoprimes with Selfridge's parameters below 3·10^4 (OEIS A217255).
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199)
+
+
+def test_strong_lucas_test_passes_the_primes_and_its_known_pseudoprimes():
+    # Each listed n is composite and passes; every other odd n in [3, 3·10^4)
+    # passes exactly when it is prime.
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert arith._strong_lucas(n) and not is_prime(n), n
+    passed = [n for n in range(3, 30_000, 2) if arith._strong_lucas(n)]
+    primes = [n for n in range(3, 30_000, 2) if all(n % p for p in range(3, isqrt(n) + 1, 2))]
+    assert sorted(set(passed) - set(primes)) == list(STRONG_LUCAS_PSEUDOPRIMES)
+    assert set(primes) <= set(passed)
+
+
+def test_baillie_psw_agrees_with_the_proven_rounds_below_their_bound(monkeypatch):
+    # With every bound set to 0, is_prime runs its Baillie-PSW branch on any n.
+    below = [n for n in range(2, 30_000) if is_prime(n)]
+    monkeypatch.setattr(arith, "_MR_PROVEN_BELOW", (0,) * len(arith._MR_WITNESSES))
+    assert [n for n in range(2, 30_000) if is_prime(n)] == below
+
+
+@pytest.mark.parametrize("k", [127, 521])
+def test_mersenne_primes_above_the_proven_bound_pass(k):
+    assert 2**k - 1 > arith._MR_PROVEN_BELOW[-1]
+    assert is_prime(2**k - 1)
+    assert not is_prime((2**k - 1) * (2**61 - 1))
 
 
 def test_pseudoprime_to_the_first_twelve_bases_is_composite():
@@ -327,3 +365,18 @@ def test_factorize_edges_of_the_table_pass(monkeypatch, n, pairs, passes, rho):
     # are divided out of the rest, not found by another pass each.
     assert calls["_table_prime_divisors"] == passes
     assert (calls["_pollard_brent"] > 0) == rho
+
+
+def test_rho_refusal_names_an_input_past_the_decimal_digit_limit(monkeypatch):
+    # 2^14300 times two 47-bit primes has more than 4,300 digits, which str
+    # refuses; the refusal names the input by its bit length.
+    p = next(m for m in range(2**46 + 1, 2**47, 2) if is_prime(m))
+    q = next(m for m in range(2**47 - 1, 2**46, -2) if is_prime(m))
+    n = p * q * 2**14300
+    monkeypatch.setattr(arith, "RHO_BUDGET", 64)
+    refusal = (
+        f"^factoring a {n.bit_length()}-bit integer exceeds the work budget of 64 rho steps; "
+        "arith.RHO_BUDGET sets it$"
+    )
+    with pytest.raises(BudgetError, match=refusal):
+        factorize(n)

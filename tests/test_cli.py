@@ -2,11 +2,12 @@ import argparse
 import inspect
 import sys
 import tracemalloc
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
-from recdiv import a, arith, closedforms, golden, records, verify
+from recdiv import a, arith, closedforms, errors, golden, records, verify
 
 from recdiv.cli import (
     EXIT_BUDGET,
@@ -180,7 +181,10 @@ def test_tree_of_one_hundred(tmp_path, capsys):
 def test_tree_budget_exit(capsys):
     code, _, err = run(capsys, "tree", "96", "--budget", "10")
     assert code == EXIT_BUDGET
-    assert "224" in err
+    assert err == (
+        "error: divisor tree of 224 squares for 96 exceeds the work budget of 10 squares; "
+        "layout's budget (tree --budget) sets it\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -451,16 +455,31 @@ def test_factorization_budget_exit(monkeypatch, capsys):
     code, out, err = run(capsys, "eval", str(n))
     assert code == EXIT_BUDGET
     assert out == ""
-    assert err == f"error: factoring {n} exceeded the Pollard-Brent budget of 64 steps\n"
+    assert err == (
+        f"error: factoring {n} exceeds the work budget of 64 rho steps; "
+        "arith.RHO_BUDGET sets it\n"
+    )
+
+
+def test_every_budget_error_comes_from_one_helper():
+    # Every work guard refuses through errors.budget_error, so its message
+    # names the value, the budget and the setting in one form.
+    src = Path(errors.__file__).parent
+    raised = {
+        path.name for path in src.glob("*.py") if "BudgetError(" in path.read_text("utf-8")
+    }
+    assert raised == {"errors.py"}
 
 
 def test_records_budget_exit(monkeypatch, capsys):
-    # 39 candidates lie below 1000.
-    monkeypatch.setattr(records, "SEARCH_BUDGET", 20)
+    monkeypatch.setattr(records, "SEARCH_LIMIT", 1000)
     code, out, err = run(capsys, "records", "all", "1000")
     assert code == EXIT_BUDGET
     assert out == ""
-    assert err == "error: record search to 1000 exceeded the budget of 20 candidates\n"
+    assert err == (
+        "error: record search to 1000 exceeds the work budget of 999; "
+        "records.SEARCH_LIMIT sets it\n"
+    )
 
 
 def test_records_takes_no_memory_flag(capsys):

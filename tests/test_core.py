@@ -266,7 +266,11 @@ def test_ordered_factorizations_match_divisor_recursion(factorization_tuples):
 
 def test_enumeration_budget(monkeypatch):
     monkeypatch.setattr(core, "TUPLE_BUDGET", 10)
-    with pytest.raises(BudgetError):
+    refusal = (
+        "^ordered factorization enumeration for 960 exceeds the work budget of 10 tuples; "
+        "core.TUPLE_BUDGET sets it$"
+    )
+    with pytest.raises(BudgetError, match=refusal):
         g_enumerated(960)
 
 

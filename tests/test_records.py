@@ -261,11 +261,10 @@ def test_search_at_1e12_matches_the_lattice_walk():
         assert e.b_ratio == closedforms.B_from_A(e.n), e.n
 
 
-def test_candidates_past_the_primorial_of_fifteen_primes(monkeypatch):
+def test_candidates_past_the_primorial_of_fifteen_primes():
     # The last of the 51,148 candidates up to the product of the first 16
     # primes is that product, so the search must generate the 16th prime, 53.
     bound = prod(FIRST_PRIMES)
-    monkeypatch.setattr(records, "SEARCH_BUDGET", 60_000)
     facs = candidates(bound)
     assert len(facs) == 51_148
     assert facs[-1].pairs == tuple((p, 1) for p in FIRST_PRIMES)
@@ -273,29 +272,66 @@ def test_candidates_past_the_primorial_of_fifteen_primes(monkeypatch):
 
 
 def test_search_budget_is_checked_before_any_evaluation(monkeypatch):
-    monkeypatch.setattr(records, "SEARCH_BUDGET", 10)
-    # Reducing a candidate, comparing a record or building an entry would
-    # raise TypeError instead.
+    monkeypatch.setattr(records, "SEARCH_LIMIT", 100)
+    # Listing or reducing a candidate, comparing a record or building an
+    # entry would raise TypeError instead.
+    monkeypatch.setattr(records, "_binomial_rows", None)
     monkeypatch.setattr(records, "_coefficients", None)
     monkeypatch.setattr(records, "_KINDS", None)
     monkeypatch.setattr(records, "profile", None)
-    with pytest.raises(BudgetError, match="^record search to 100 exceeded the budget of 10 "):
+    refusal = "^record search to 100 exceeds the work budget of 99; records.SEARCH_LIMIT sets it$"
+    with pytest.raises(BudgetError, match=refusal):
         search_records(100)
 
 
+def _admitted(monkeypatch, bound):
+    """Whether candidates(bound) passes its guard, whose first step past it builds a table."""
+    monkeypatch.setattr(records, "_binomial_rows", None)
+    try:
+        candidates(bound)
+    except TypeError:
+        return True
+    except BudgetError:
+        return False
+
+
+def test_search_limit_is_the_300001st_candidate():
+    # The oracle is a plain depth-first count that carries no values: exactly
+    # 300,000 candidates lie below SEARCH_LIMIT, and the limit is the next.
+    limit = records.SEARCH_LIMIT
+    primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+    count = 0
+    stack = [(1, 0, limit.bit_length())]
+    while stack:
+        n, k, cap = stack.pop()
+        count += 1
+        for e in range(1, cap + 1):
+            n *= primes[k]
+            if n >= limit:
+                break
+            stack.append((n, k + 1, e))
+    assert count == 300_000
+    assert _is_candidate(limit)
+
+
 def test_search_budget_boundary(monkeypatch):
-    # 39 candidates lie below 1000 and 172,513 below 10^24.
-    for bound, count in ((1000, 39), (10**24, 172_513)):
-        monkeypatch.setattr(records, "SEARCH_BUDGET", count)
-        records._admit(bound)
-        monkeypatch.setattr(records, "SEARCH_BUDGET", count - 1)
-        with pytest.raises(BudgetError):
-            records._admit(bound)
+    # A bound below the limit is admitted and the limit itself is refused,
+    # at the default and at a limit of 1000, below which 39 candidates lie.
+    for limit in (records.SEARCH_LIMIT, 1000):
+        monkeypatch.setattr(records, "SEARCH_LIMIT", limit)
+        assert _admitted(monkeypatch, limit - 1)
+        assert not _admitted(monkeypatch, limit)
+    monkeypatch.undo()
+    assert len(candidates(999)) == 39
 
 
-def test_default_budget_admits_1e26_and_refuses_1e27():
-    records._admit(10**26)
-    refusal = f"^record search to {10**27} exceeded the budget of 300000 candidates$"
+def test_default_budget_admits_1e26_and_refuses_1e27(monkeypatch):
+    assert _admitted(monkeypatch, 10**26)
+    monkeypatch.undo()
+    refusal = (
+        f"^record search to {10**27} exceeds the work budget of 165398522165420543999999999; "
+        "records.SEARCH_LIMIT sets it$"
+    )
     with pytest.raises(BudgetError, match=refusal):
         search_records(10**27)
 
@@ -304,7 +340,7 @@ def test_budget_names_a_bound_past_the_decimal_digit_limit():
     # str refuses integers of more than 4,300 digits; the guards still raise
     # their own errors, naming such a bound by its bit length.
     bound = 10**5000
-    with pytest.raises(BudgetError, match="^record search to a 16610-bit integer exceeded "):
+    with pytest.raises(BudgetError, match="^record search to a 16610-bit integer exceeds "):
         search_records(bound)
     with pytest.raises(OverflowError, match="^bound a 16610-bit integer exceeds "):
         sieve_records(bound)

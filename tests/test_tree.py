@@ -195,7 +195,11 @@ def test_layout_deterministic():
 
 
 def test_budget_reports_square_count():
-    with pytest.raises(BudgetError, match="224"):
+    refusal = (
+        r"^divisor tree of 224 squares for 96 exceeds the work budget of 10 squares; "
+        r"layout's budget \(tree --budget\) sets it$"
+    )
+    with pytest.raises(BudgetError, match=refusal):
         layout(96, budget=10)
 
 

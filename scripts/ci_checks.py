@@ -94,6 +94,18 @@ if b_recursion(PrimePowerShape.of((2, 4000))) != 2**3999 * 4002:
     sys.exit("b_recursion of 2^4000 is not 2^3999·4002")
 """
 
+LATTICE_16_PRIMES = """
+import sys
+from fractions import Fraction
+from math import prod
+from recdiv import b
+from recdiv.arith import is_prime
+from recdiv.closedforms import B_from_A
+n = prod(p for p in range(2, 54) if is_prime(p))
+if B_from_A(n) != Fraction(b(n), n):
+    sys.exit("B_from_A of the 16-prime primorial is not b(n)/n")
+"""
+
 RECORDS24_LINES = """
 import sys
 with open("records24.csv") as fh:
@@ -258,6 +270,13 @@ CHECKS = (
     # Ω < 64 and the recursion filled as one table per call, about 30 MB.
     # B(2^k) = (k + 2)/2, so b(2^k) = 2^k·(k + 2)/2.
     Check("bounded-caches", python("-c", BOUNDED_CACHES), 30, rss_mb=80),
+    # B_from_A of the product of the first 16 primes walks 65,536 divisors,
+    # their g-column one kappa_table of 16 primes. About 0.5 s and 50 MB whole
+    # process on 2 CPUs with the subset sum taken one prime at a time and each
+    # differenced table kept as a window of one stride; 7.3 s and 56 MB with
+    # one term per subset of each divisor's primes, 87 MB with each
+    # differenced table kept whole.
+    Check("lattice-16-primes", python("-c", LATTICE_16_PRIMES), 4, rss_mb=56),
     # 219,136 squares and 5.3 M candidate pairs: under a second with the
     # layout and the overlap scan on numpy rows, about 2.5 s with one Python
     # object per square, minutes if the scan copies the rest of its order per square.

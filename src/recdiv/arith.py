@@ -13,7 +13,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .errors import budget_error
+from .errors import bound_text, budget_error
 
 # Miller-Rabin witnesses: the first thirteen primes.  After the first k of
 # them pass, n is proven prime when it lies below the k-th bound, the
@@ -362,7 +362,7 @@ def factorize(n: int) -> Factorization:
     validation.
     """
     if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+        raise ValueError(f"n must be a positive integer, got {bound_text(n)}")
     pairs = []
     rest = n
     shared = gcd(n, _SMALL_PRODUCT)

@@ -9,11 +9,14 @@ x = 0.
 The paper's recursions for a and b on p^c, p^c q^d and p^c q^d r^e are one
 inclusion–exclusion identity over the primes of n with Jordan's totient J_x,
 derived in core.py and filled bottom-up by core.kappa_table, which nests no
-call and caches nothing.  J_0(n) = 0 for n > 1 and J_1 = φ.  The three-prime
-b is this 7-term body, all of it sums of b (no mixed term); its gate is exact
-agreement with the per-n evaluator on the full verification grid.  The
-recursion takes any number of primes; shapes keep at most three for a_closed
-and B_closed.
+call and caches nothing.  The identity is the paper's as written; only its
+evaluation differs: kappa_table takes the sum over subsets of primes one
+prime at a time, k differences per divisor instead of one term per subset,
+and the tests keep the subset form as its oracle.  J_0(n) = 0 for n > 1 and
+J_1 = φ.  The three-prime b is this 7-term body, all of it sums of b (no
+mixed term); its gate is exact agreement with the per-n evaluator on the
+full verification grid.  The recursion takes any number of primes; shapes
+keep at most three for a_closed and B_closed.
 """
 
 from __future__ import annotations

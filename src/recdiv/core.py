@@ -95,10 +95,17 @@ n's primes and 0 on other divisors, and T = ∅ gives 2F(n), so
 
 Each term on the right is kappa of a proper divisor of n, so kappa_table
 fills the recursion bottom-up over n's exponent box in lexicographic order.
-At x = 0 it holds a(d) in divisor_lattice's order, n/d at the mirrored
-index, so the column is the table reversed and halved, with g(1) = 1.  J_0
-reads no prime, so one column serves each ordered exponent tuple (n ≤ 10^4
-has 148).  a_sized checks the column's total against the per-prime sums.
+The sum over T is kappa ∗ μ on the box, taken one prime at a time: with
+P_0 = kappa and P_j(d) = P_{j−1}(d) − P_{j−1}(d/p_j) where p_j divides d,
+P_k = kappa ∗ μ, so 2 P_k(d) − kappa(d) = J_x(d).  P_j(d) − kappa(d) reads
+only divisors below d, which gives kappa(d) and then each P_j(d) in k
+differences.  p_j reads P_{j−1} one stride of p_j back, so past P_0 each
+is kept as a window of that many entries.  A box of k primes then costs
+k · Π (e + 1) steps rather than one term per subset, Π (2e + 1).  At x = 0
+it holds a(d) in divisor_lattice's order, n/d at the mirrored index, so the
+column is the table reversed and halved, with g(1) = 1.  J_0 reads no
+prime, so one column serves each ordered exponent tuple (n ≤ 10^4 has 148).
+a_sized checks the column's total against the per-prime sums.
 The definitional recursion, the sub-signature enumeration of a and
 MacMahon's per-divisor sum are kept in the tests as oracles, and g_enumerated
 is a further, independent oracle for g: it walks every chain
@@ -118,6 +125,7 @@ its row per call.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -128,7 +136,7 @@ from operator import itemgetter, mul
 # proper_divisors stays importable for perfbench's tracer, which counts calls
 # to recdiv.core.proper_divisors; nothing in this module makes one.
 from .arith import Factorization, d_of, divisors, factorize, proper_divisors, sigma_of  # noqa: F401
-from .errors import budget_error
+from .errors import bound_text, budget_error
 
 # Most tuples the g_enumerated oracle walks before it refuses n with BudgetError.
 TUPLE_BUDGET = 1_000_000
@@ -219,23 +227,33 @@ def kappa_table(pairs: tuple[tuple[int, int], ...], x: int) -> dict[tuple[int, .
 
     Values are listed in product()'s order, where lowering one exponent by one
     steps back by that prime's stride, Π (e + 1) over the primes after it.
-    Each prime has a column of its factors J_x(p^e), 1 at e = 0.  terms holds
-    the index of d / Π_{p∈T} p and 2(−1)^{|T|+1} for each T, T = ∅ first.
+    Each prime has a column of its factors J_x(p^e), 1 at e = 0.  The subset
+    sum is taken one prime at a time.  P_j is the table with the first j
+    primes differenced out, P_0 = kappa, and rest steps
+    R_j(d) = P_j(d) − kappa(d) = R_{j−1}(d) − P_{j−1}(d/p_j) over the primes,
+    so kappa(d) = J_x(d) − 2 R_k(d) and P_j(d) = kappa(d) + R_j(d).  p_j
+    reads P_{j−1} one stride of p_j back, so values holds P_0 and windows
+    holds P_1, ..., P_{k−1}, each a deque of that stride.  A box costs
+    k · Π (e + 1) steps, not one term per subset, Π (2e + 1).
     """
     jordan = [[1] + [(p**x - 1) * p ** (x * (c - 1)) for c in range(1, e + 1)] for p, e in pairs]
     strides = [prod(e + 1 for _, e in pairs[i + 1 :]) for i in range(len(pairs))]
     boxes = [range(e + 1) for _, e in pairs]
     values: list[int] = []
+    windows = [deque(maxlen=stride) for stride in strides[1:]]
+    steps = list(zip(jordan, strides, [values, *windows]))
     for exps in product(*boxes):
-        total = 1
-        terms = [(len(values), -2)]
-        for column, e, stride in zip(jordan, exps, strides):
+        total, rest = 1, 0
+        rests = []
+        for (column, stride, window), e in zip(steps, exps):
             total *= column[e]
             if e:
-                terms += [(i - stride, -c) for i, c in terms]
-        for i, c in terms[1:]:
-            total += c * values[i]
+                rest -= window[-stride]
+            rests.append(rest)
+        total -= 2 * rest
         values.append(total)
+        for window, r in zip(windows, rests):
+            window.append(total + r)
     return dict(zip(product(*boxes), values))
 
 
@@ -256,7 +274,7 @@ def kappa(n: int, x: int) -> int:
     Evaluated from per-prime sums over one factorization of n.
     """
     if x < 0:
-        raise ValueError(f"x must be a nonnegative integer, got {x}")
+        raise ValueError(f"x must be a nonnegative integer, got {bound_text(x)}")
     return _kappa_of(factorize(n), x)
 
 
@@ -292,7 +310,7 @@ def g_enumerated(n: int) -> int:
     checks.  TUPLE_BUDGET is checked at every chain; past it, BudgetError.
     """
     if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+        raise ValueError(f"n must be a positive integer, got {bound_text(n)}")
     above_one = divisors(n)[1:]
     onward: dict[int, list[int]] = {}
     stack = [n]

@@ -413,6 +413,6 @@ def sieve_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
 def classify(n: int, table: RecordTable) -> RecordKind:
     """Record flags for n according to a finished table; empty flag if none."""
     if n < 1 or n > table.bound:
-        raise ValueError(f"n = {n} is outside the table bound {table.bound}")
+        raise ValueError(f"n = {bound_text(n)} is outside the table bound {table.bound}")
     entry = table.entry(n)
     return entry.kinds if entry is not None else RecordKind(0)

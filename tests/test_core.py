@@ -3,7 +3,7 @@ import pkgutil
 import random
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import comb, prod
 
 import pytest
@@ -21,7 +21,7 @@ from recdiv import (
     profile,
 )
 import recdiv
-from recdiv import cli, closedforms, core, records, verify
+from recdiv import cli, closedforms, core, records, tree, verify
 from recdiv.arith import Factorization, divisors, factorize, is_prime
 from recdiv.golden import A_FIRST_96, B_FIRST_96
 from recdiv.sieve import a_array, b_array
@@ -42,6 +42,31 @@ def test_kappa_rejects_bad_arguments():
         kappa(0, 0)
     with pytest.raises(ValueError):
         kappa(10, -1)
+
+
+HUGE = 10**5000  # 16,610 bits, past the 4,300 digits str converts by default
+NEGATIVE_HUGE = f"a negative {HUGE.bit_length()}-bit integer"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: factorize(-HUGE), f"n must be a positive integer, got {NEGATIVE_HUGE}"),
+        (lambda: kappa(-HUGE, 0), f"n must be a positive integer, got {NEGATIVE_HUGE}"),
+        (lambda: kappa(12, -HUGE), f"x must be a nonnegative integer, got {NEGATIVE_HUGE}"),
+        (lambda: g_enumerated(-HUGE), f"n must be a positive integer, got {NEGATIVE_HUGE}"),
+        (lambda: tree.layout(-HUGE), f"n must be a positive integer, got {NEGATIVE_HUGE}"),
+        (
+            lambda: records.classify(HUGE, records.search_records(100)),
+            f"n = a {HUGE.bit_length()}-bit integer is outside the table bound 100",
+        ),
+    ],
+    ids=["factorize", "kappa-n", "kappa-x", "g_enumerated", "layout", "classify"],
+)
+def test_bad_n_messages_name_the_input_by_its_bit_length(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_count_examples():
@@ -173,6 +198,18 @@ def largest_omega_times_k(digits):
         odd *= p
     bound, k, e = best
     return bound, ((2, e), *((p, 1) for p in odd_primes[: k - 1]))
+
+
+def test_ratio_of_the_sixteen_prime_primorial_is_fast():
+    # 65,536 divisors.  One subset-sum term per subset of each divisor's
+    # primes is 3^16 = 43 million terms for the g-column, about 6.7 s; one
+    # difference per prime is 16 · 2^16, about 0.3 s on 2 CPUs.
+    n = prod(p for p in range(2, 54) if is_prime(p))
+    core._g_column.cache_clear()
+    start = time.perf_counter()
+    value = closedforms.B_from_A(n)
+    assert time.perf_counter() - start < 2
+    assert value == Fraction(b(n), n)
 
 
 def test_the_largest_omega_times_k_below_4300_digits_is_bounded():
@@ -435,6 +472,26 @@ def lattice_walk(fac):
     return [(d, sum(map(prod, zip(*factors)))) for d, factors in entries[:-1]] + [(fac.n, 1)]
 
 
+def subset_sum_table(pairs, x):
+    """Oracle: core.kappa_table with one term per subset of each divisor's primes.
+
+    The paper's inclusion-exclusion as written, filled in product()'s order:
+    kappa(d, x) = J_x(d) + 2 Σ_{∅≠T} (−1)^{|T|+1} kappa(d / Π_{p∈T} p, x),
+    T running over the sets of primes that divide d.  A box costs Π (2e + 1)
+    terms; core takes the same sum one prime at a time.
+    """
+    table = {}
+    for exps in product(*(range(e + 1) for _, e in pairs)):
+        total = prod((p**x - 1) * p ** (x * (e - 1)) if e else 1 for (p, _), e in zip(pairs, exps))
+        present = [i for i, e in enumerate(exps) if e]
+        for size in range(1, len(present) + 1):
+            for subset in combinations(present, size):
+                lowered = tuple(e - (i in subset) for i, e in enumerate(exps))
+                total += (-1) ** (size + 1) * 2 * table[lowered]
+        table[exps] = total
+    return table
+
+
 def reordered(n):
     """n and every n with the same exponents on the same primes in another order."""
     primes, exponents = zip(*factorize(n).pairs)
@@ -444,6 +501,20 @@ def reordered(n):
 
 
 LATTICE_N = (720720, 2**40, 6983776800, 2**10 * 3**5 * 5**3 * 7 * 11)
+
+
+def test_kappa_table_matches_the_subset_sum_oracle():
+    boxes = [
+        tuple(zip((2, 3, 5, 7), exponents))
+        for k in range(5)
+        for exponents in product(range(1, 4), repeat=k)
+    ]
+    seven = factorize(2**2 * 3 * 5 * 7 * 11 * 13 * 17).pairs
+    boxes += [seven, *(factorize(n).pairs for n in LATTICE_N)]
+    for pairs in boxes:
+        for x in (0, 1, 2):
+            table = core.kappa_table(pairs, x)
+            assert list(table.items()) == list(subset_sum_table(pairs, x).items()), (pairs, x)
 
 
 def test_divisor_lattice_matches_the_walk_oracle():

@@ -181,10 +181,11 @@ CHECKS = (
     # refused their 8e8-byte sieve before any other work (exit 4), and a
     # bound the sieve admits but their work budgets do not (exit 6); verify
     # records one past its reference data is a usage error (exit 2), and so
-    # are a tree style SVG forbids and a sieve budget that admits no work,
-    # each with nothing on stdout. argparse's own exits, checked here at the
-    # process level: no command and eval with no n exit 2 with nothing on
-    # stdout, and --help exits 0 with the usage on stdout.
+    # are a tree style SVG forbids, a sieve budget that admits no work and an
+    # unknown record kind after `all`, each with nothing on stdout. argparse's
+    # own exits, checked here at the process level: no command and eval with
+    # no n exit 2 with nothing on stdout, and --help exits 0 with the usage on
+    # stdout.
     Check("verify-lemmas-1e8", recdiv("verify", "lemmas", 10**8), 10, code=4),
     Check("verify-closedforms-1e8", recdiv("verify", "closedforms", 10**8), 10, code=4),
     Check("verify-lemmas-4e7", recdiv("verify", "lemmas", 4 * 10**7), 10, code=6),
@@ -193,6 +194,8 @@ CHECKS = (
     Check("tree-negative-margin", recdiv("tree", 12, "--margin", -1), 10, code=2, stdout=EMPTY),
     Check("tree-nan-stroke", recdiv("tree", 12, "--stroke-width", "nan"), 10, code=2, stdout=EMPTY),
     Check("table-zero-memory", recdiv("table", "a", 10, "--max-memory", 0), 10,
+          code=2, stdout=EMPTY),
+    Check("records-unknown-kind-after-all", recdiv("records", "all,foo", 10), 10,
           code=2, stdout=EMPTY),
     Check("no-command", recdiv(), 10, code=2, stdout=EMPTY),
     Check("eval-no-n", recdiv("eval"), 10, code=2, stdout=EMPTY),
@@ -271,12 +274,14 @@ CHECKS = (
     # B(2^k) = (k + 2)/2, so b(2^k) = 2^k·(k + 2)/2.
     Check("bounded-caches", python("-c", BOUNDED_CACHES), 30, rss_mb=80),
     # B_from_A of the product of the first 16 primes walks 65,536 divisors,
-    # their g-column one kappa_table of 16 primes. About 0.5 s and 50 MB whole
-    # process on 2 CPUs with the subset sum taken one prime at a time and each
-    # differenced table kept as a window of one stride; 7.3 s and 56 MB with
-    # one term per subset of each divisor's primes, 87 MB with each
-    # differenced table kept whole.
-    Check("lattice-16-primes", python("-c", LATTICE_16_PRIMES), 4, rss_mb=56),
+    # their g-column one kappa_table of 16 primes. About 0.4-0.5 s and 39 MB
+    # whole process on 2 CPUs with the subset sum taken one prime at a time,
+    # each differenced table kept as a window of one stride and the table
+    # returned as the list it fills; 50 MB when it was rebuilt as a dict
+    # keyed by 65,536 exponent tuples, 7.3 s and 56 MB with one term per
+    # subset of each divisor's primes, 87 MB with each differenced table
+    # kept whole.
+    Check("lattice-16-primes", python("-c", LATTICE_16_PRIMES), 4, rss_mb=45),
     # 219,136 squares and 5.3 M candidate pairs: under a second with the
     # layout and the overlap scan on numpy rows, about 2.5 s with one Python
     # object per square, minutes if the scan copies the rest of its order per square.
@@ -312,6 +317,11 @@ CHECKS = (
     Check("records-search-limit", recdiv("records", "all", 165398522165420544000000000), 10,
           code=6),
     Check("records-1e27-budget", recdiv("records", "all", 10**27), 10, code=6),
+    # The sieve memory guard's worst admitted input: 40000003 is the last n
+    # whose int64 table fits sieve.DEFAULT_MAX_MEMORY. About 10-13 s and
+    # 338 MB peak RSS on 2 CPUs, with 706 MB of CSV written to /dev/null.
+    Check("table-b-below-memory", recdiv("table", "b", 40000003, "-o", "/dev/null"), 60,
+          rss_mb=400),
     # 10^6 JSON rows: about 0.5 s whole process on 2 CPUs, 0.1 s of it
     # formatting with the digit kernel (0.2 s with one %-format per chunk).
     Check("table-b-1e6-json",

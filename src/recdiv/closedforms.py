@@ -87,7 +87,7 @@ def a_distinct_primes(k: int) -> int:
 
 def a_recursion(shape: PrimePowerShape) -> int:
     """Recursive-divisor count via the doubling recursion; prime-agnostic."""
-    return kappa_table(shape.pairs, 0)[shape.exponents]
+    return kappa_table(shape.pairs, 0)[-1]
 
 
 def _a_closed_two(c: int, d: int) -> int:
@@ -116,7 +116,7 @@ def a_closed(shape: PrimePowerShape) -> int:
 
 def b_recursion(shape: PrimePowerShape) -> int:
     """Recursive-divisor sum via the same recursion at x = 1; needs concrete primes."""
-    return kappa_table(shape.pairs, 1)[shape.exponents]
+    return kappa_table(shape.pairs, 1)[-1]
 
 
 def B_closed(shape: PrimePowerShape) -> Fraction:

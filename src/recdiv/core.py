@@ -94,7 +94,9 @@ n's primes and 0 on other divisors, and T = ∅ gives 2F(n), so
     kappa(n, x) = J_x(n) + 2 Σ_{∅≠T⊆primes(n)} (−1)^{|T|+1} kappa(n / Π_{p∈T} p, x).
 
 Each term on the right is kappa of a proper divisor of n, so kappa_table
-fills the recursion bottom-up over n's exponent box in lexicographic order.
+fills the recursion bottom-up over n's exponent box in lexicographic order,
+into a list in divisor_lattice's order: position i holds kappa of the i-th
+divisor and the last holds kappa(n).
 The sum over T is kappa ∗ μ on the box, taken one prime at a time: with
 P_0 = kappa and P_j(d) = P_{j−1}(d) − P_{j−1}(d/p_j) where p_j divides d,
 P_k = kappa ∗ μ, so 2 P_k(d) − kappa(d) = J_x(d).  P_j(d) − kappa(d) reads
@@ -102,9 +104,9 @@ only divisors below d, which gives kappa(d) and then each P_j(d) in k
 differences.  p_j reads P_{j−1} one stride of p_j back, so past P_0 each
 is kept as a window of that many entries.  A box of k primes then costs
 k · Π (e + 1) steps rather than one term per subset, Π (2e + 1).  At x = 0
-it holds a(d) in divisor_lattice's order, n/d at the mirrored index, so the
-column is the table reversed and halved, with g(1) = 1.  J_0 reads no
-prime, so one column serves each ordered exponent tuple (n ≤ 10^4 has 148).
+it holds a(d), and a(n/d) at the mirrored index, so the column is the table
+reversed and halved, with g(1) = 1.  J_0 reads no prime, so one column
+serves each ordered exponent tuple (n ≤ 10^4 has 148).
 a_sized checks the column's total against the per-prime sums.
 The definitional recursion, the sub-signature enumeration of a and
 MacMahon's per-divisor sum are kept in the tests as oracles, and g_enumerated
@@ -222,11 +224,13 @@ def divisor_lattice(fac: Factorization) -> tuple[list[int], tuple[int, ...]]:
     return divisors, _g_column(tuple(e for _, e in fac.pairs))
 
 
-def kappa_table(pairs: tuple[tuple[int, int], ...], x: int) -> dict[tuple[int, ...], int]:
-    """kappa(d, x) for every divisor d of n = Π p^e over pairs, keyed by d's exponent tuple.
+def kappa_table(pairs: tuple[tuple[int, int], ...], x: int) -> list[int]:
+    """kappa(d, x) for every divisor d of n = Π p^e over pairs, in divisor_lattice's order.
 
-    Values are listed in product()'s order, where lowering one exponent by one
-    steps back by that prime's stride, Π (e + 1) over the primes after it.
+    The list follows product()'s order over the exponent box, the last prime
+    fastest, so position i holds the i-th divisor and the last holds n.
+    Lowering one exponent by one steps back by that prime's stride,
+    Π (e + 1) over the primes after it.
     Each prime has a column of its factors J_x(p^e), 1 at e = 0.  The subset
     sum is taken one prime at a time.  P_j is the table with the first j
     primes differenced out, P_0 = kappa, and rest steps
@@ -254,7 +258,7 @@ def kappa_table(pairs: tuple[tuple[int, int], ...], x: int) -> dict[tuple[int, .
         values.append(total)
         for window, r in zip(windows, rests):
             window.append(total + r)
-    return dict(zip(product(*boxes), values))
+    return values
 
 
 @lru_cache(maxsize=G_COLUMN_CACHE)
@@ -264,7 +268,7 @@ def _g_column(exponents: tuple[int, ...]) -> tuple[int, ...]:
     a(d) at x = 0 does not read the primes, so 2 stands in for each; the
     table reversed lists a(n/d), halved for n/d > 1, and g(1) = 1 ends it.
     """
-    counts = tuple(kappa_table(tuple((2, e) for e in exponents), 0).values())
+    counts = kappa_table(tuple((2, e) for e in exponents), 0)
     return tuple(count // 2 for count in reversed(counts[1:])) + (1,)
 
 
@@ -309,8 +313,6 @@ def g_enumerated(n: int) -> int:
     doubles g(n), and it shares no machinery with the per-prime evaluation it
     checks.  TUPLE_BUDGET is checked at every chain; past it, BudgetError.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {bound_text(n)}")
     above_one = divisors(n)[1:]
     onward: dict[int, list[int]] = {}
     stack = [n]

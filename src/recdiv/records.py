@@ -133,10 +133,8 @@ def parse_kinds(text: str) -> RecordKind:
         token = token.strip().upper()
         if not token:
             continue
-        if token == "ALL":
-            return ALL_KINDS
         try:
-            kinds |= RecordKind[token]
+            kinds |= ALL_KINDS if token == "ALL" else RecordKind[token]
         except KeyError:
             raise ValueError(f"unknown record kind {token!r}; choose from RHC, RSA, HC, SA")
     if not kinds:

@@ -130,8 +130,6 @@ def layout(n: int, *, budget: int = DEFAULT_SQUARE_BUDGET) -> DivisorTreeLayout:
     the divisors of n below m that divide it.  Each (side, direction) block
     is built once.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {bound_text(n)}")
     fac = factorize(n)
     count = _kappa_of(fac, 0)
     if count > budget:

@@ -183,13 +183,13 @@ def verify_closedforms(limit: int = 10_000) -> SuiteReport:
 
     Shapes that differ only in prime order share n, and the definitional
     route is pure, so (a(n), b(n)) is evaluated once per n.  The recursion is
-    read from kappa tables to GRID_MAX_EXPONENT: one of sums per ordered prime
-    tuple, held while the grid lists that tuple's shapes, and one of counts on
-    the first three grid primes, read with the exponents padded by zeros,
-    since the count does not depend on the primes.  a_closed is evaluated once
-    per ordered exponent tuple (the grid has 155) and kept in a dict local to
-    this call.  Every ordered shape is still tallied against the definition
-    of its own n.
+    read from kappa tables to GRID_MAX_EXPONENT, each keyed here by exponent
+    tuple: one of sums per ordered prime tuple, held while the grid lists that
+    tuple's shapes, and one of counts on the first three grid primes, read
+    with the exponents padded by zeros, since the count does not depend on
+    the primes.  a_closed is evaluated once per ordered exponent tuple (the
+    grid has 155) and kept in a dict local to this call.  Every ordered shape
+    is still tallied against the definition of its own n.
     """
     sieve.check_budget(limit, 1)
     if limit > CLOSEDFORMS_BUDGET:
@@ -201,8 +201,13 @@ def verify_closedforms(limit: int = 10_000) -> SuiteReport:
     ratio_closed = CheckResult("ratio closed form matches the definition (1-2 primes)")
     definition: dict[int, tuple[int, int]] = {}
     closed_counts: dict[tuple[int, ...], int] = {}
+
+    def table(primes: tuple[int, ...], x: int) -> dict[tuple[int, ...], int]:
+        values = closedforms.kappa_table(tuple((p, GRID_MAX_EXPONENT) for p in primes), x)
+        return dict(zip(product(range(GRID_MAX_EXPONENT + 1), repeat=len(primes)), values))
+
     count_primes = GRID_PRIMES[:3]
-    count_table = closedforms.kappa_table(tuple((p, GRID_MAX_EXPONENT) for p in count_primes), 0)
+    count_table = table(count_primes, 0)
     sum_primes, sum_table = (), {}
     for n, primes, exponents in _grid_cases():
         if n not in definition:
@@ -219,7 +224,7 @@ def verify_closedforms(limit: int = 10_000) -> SuiteReport:
         )
         if primes != sum_primes:
             sum_primes = primes
-            sum_table = closedforms.kappa_table(tuple((p, GRID_MAX_EXPONENT) for p in primes), 1)
+            sum_table = table(primes, 1)
         got_b = sum_table[exponents]
         sum_routes.tally(got_b == want_b, lambda: f"n={n} {pairs}: {got_b} != {want_b}")
         if len(primes) <= 2:

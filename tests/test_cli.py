@@ -142,6 +142,13 @@ def test_records_sa_kind(capsys):
     assert out.splitlines() == ["1 1", "2 2", "3 4", "4 6"]
 
 
+@pytest.mark.parametrize("kinds", ["all,foo", "foo,all"])
+def test_records_refuses_an_unknown_kind_on_either_side_of_all(capsys, kinds):
+    code, out, err = run(capsys, "records", kinds, "10")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: unknown record kind 'FOO'; choose from RHC, RSA, HC, SA\n"
+
+
 def test_tree_command_writes_file(tmp_path, capsys):
     path = tmp_path / "tree.svg"
     code, out, _ = run(capsys, "tree", "10", "-o", str(path), "--check-overlap")

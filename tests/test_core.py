@@ -512,9 +512,23 @@ def test_kappa_table_matches_the_subset_sum_oracle():
     seven = factorize(2**2 * 3 * 5 * 7 * 11 * 13 * 17).pairs
     boxes += [seven, *(factorize(n).pairs for n in LATTICE_N)]
     for pairs in boxes:
+        exponents = list(product(*(range(e + 1) for _, e in pairs)))
         for x in (0, 1, 2):
-            table = core.kappa_table(pairs, x)
-            assert list(table.items()) == list(subset_sum_table(pairs, x).items()), (pairs, x)
+            table = list(zip(exponents, core.kappa_table(pairs, x)))
+            assert table == list(subset_sum_table(pairs, x).items()), (pairs, x)
+
+
+def test_kappa_table_lists_the_divisors_in_lattice_order():
+    # Position i holds kappa of the i-th divisor of divisor_lattice, n last.
+    seven = 2**2 * 3 * 5 * 7 * 11 * 13 * 17
+    for n in (*LATTICE_N, seven):
+        fac = factorize(n)
+        divisors = core.divisor_lattice(fac)[0]
+        for x in (0, 1):
+            table = core.kappa_table(fac.pairs, x)
+            assert len(table) == len(divisors) and divisors[-1] == n
+            for i, d in enumerate(divisors):
+                assert table[i] == kappa(d, x), (n, d, x)
 
 
 def test_divisor_lattice_matches_the_walk_oracle():
@@ -530,7 +544,7 @@ def test_count_table_reads_no_prime():
     # At x = 0 every Jordan factor past e = 0 is 0, so _g_column may carry
     # each exponent on the placeholder 2: any primes give the same table.
     def counts(pairs):
-        return list(core.kappa_table(pairs, 0).items())
+        return core.kappa_table(pairs, 0)
 
     tables = {}
     large = (1009, 1013, 1019, 1021, 1031, 1033)

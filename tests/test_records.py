@@ -121,11 +121,14 @@ def test_memory_guard(monkeypatch):
 def test_parse_kinds():
     assert parse_kinds("rhc,rsa") == RecordKind.RHC | RecordKind.RSA
     assert parse_kinds("ALL") == ALL_KINDS
+    assert parse_kinds("rhc,all") == ALL_KINDS
     assert parse_kinds("SA") == RecordKind.SA
     with pytest.raises(ValueError):
         parse_kinds("XYZ")
     with pytest.raises(ValueError):
         parse_kinds(",")
+    with pytest.raises(ValueError, match="unknown record kind 'FOO'"):
+        parse_kinds("all,foo")
 
 
 @pytest.mark.parametrize(

@@ -118,10 +118,15 @@ TABLE_B_GOLDEN = """
 import json
 import sys
 from recdiv import golden
-with open("table_b.json") as fh:
-    rows = json.load(fh)
-if len(rows) != 10**6 or tuple(row["b"] for row in rows[:96]) != golden.B_FIRST_96:
-    sys.exit("table_b.json: expected 10^6 rows starting with golden.B_FIRST_96")
+from recdiv.sieve import table_array
+values = table_array("b", 10**6)[1:].tolist()
+if tuple(values[:96]) != golden.B_FIRST_96:
+    sys.exit("sieve.table_array('b', 10**6) does not start with golden.B_FIRST_96")
+rows = [{"n": n, "b": v} for n, v in enumerate(values, start=1)]
+expected = (json.dumps(rows, separators=(",", ":")) + "\\n").encode("ascii")
+with open("table_b.json", "rb") as fh:
+    if fh.read() != expected:
+        sys.exit("table_b.json differs from json.dumps over sieve.table_array('b', 10**6)")
 """
 
 TABLE_B7_TAIL = """
@@ -318,17 +323,19 @@ CHECKS = (
           code=6),
     Check("records-1e27-budget", recdiv("records", "all", 10**27), 10, code=6),
     # The sieve memory guard's worst admitted input: 40000003 is the last n
-    # whose int64 table fits sieve.DEFAULT_MAX_MEMORY. About 10-13 s and
-    # 338 MB peak RSS on 2 CPUs, with 706 MB of CSV written to /dev/null.
+    # whose int64 table fits sieve.DEFAULT_MAX_MEMORY. About 7-8 s and
+    # 339 MB peak RSS on 2 CPUs, with 706 MB of CSV written to /dev/null.
     Check("table-b-below-memory", recdiv("table", "b", 40000003, "-o", "/dev/null"), 60,
           rss_mb=400),
-    # 10^6 JSON rows: about 0.5 s whole process on 2 CPUs, 0.1 s of it
+    # 10^6 JSON rows: about 0.35 s whole process on 2 CPUs, 65 ms of it
     # formatting with the digit kernel (0.2 s with one %-format per chunk).
     Check("table-b-1e6-json",
           recdiv("table", "b", 10**6, "--format", "json", "-o", "table_b.json"), 30),
+    # The whole file against json.dumps, a serializer that shares no code
+    # with formats: about 1.4 s on 2 CPUs.
     Check("table-b-1e6-golden", python("-c", TABLE_B_GOLDEN), 30),
     # 10^7 JSON rows, 262 MB of text, written one chunk at a time: about
-    # 3.1 s and 110 MB peak RSS on 2 CPUs, 80 MB of it the sieve; 4.4 s with
+    # 1.8 s and 111 MB peak RSS on 2 CPUs, 80 MB of it the sieve; 4.4 s with
     # one %-format per chunk. Building the whole text before writing it
     # peaked at 610 MB.
     Check("table-b-1e7-json",

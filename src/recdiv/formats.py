@@ -30,12 +30,15 @@ def rational_str(value: Fraction) -> str:
 # once: a large table holds neither one Python string per row nor its whole text.
 CHUNK = 16384
 
-# Digits are written four at a time. A group k < 10^4 of a number's digits is
-# looked up at k + 10^4 when more digits stand to its left, where the entry is
-# k zero-padded, and at k otherwise, where k's leading zeros are NUL bytes that
-# _rows deletes. Each entry is four ASCII bytes, in text order, as one uint32.
-# At k = 0, _UPPER holds four NULs and _LOWEST, for a number's last four
-# digits, holds "0".
+# Digits are written four at a time, each group of four as one uint32 cell
+# that holds its four ASCII bytes in text order. A group k < 10^4 of a
+# number's digits is looked up at k + 10^4 when more digits stand to its left,
+# where the entry is k zero-padded, and at k otherwise, where k's leading
+# zeros are NUL bytes that _rows deletes. At k = 0, _UPPER holds four NULs and
+# _LOWEST, for a number's last four digits, holds "0". Splitting a group off
+# with // and a subtraction costs about a tenth of np.divmod on int64, and
+# min(rest, low + 10^4) is the lookup index in one pass: it is rest itself
+# exactly when no digit stands left of the group.
 _GROUP = 10**4
 
 
@@ -54,25 +57,27 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 _UPPER, _LOWEST = _digit_tables()
 
 
-def _digits(column: np.ndarray) -> np.ndarray:
-    """The decimal digits of a non-negative integer column, right-aligned.
+def _groups(largest: int) -> int:
+    """How many four-digit groups a non-negative integer's digits take."""
+    return -(-len(str(largest)) // 4)
 
-    Returns a (len(column), w) uint8 array, w the length of the largest value,
-    with leading zeros as NUL bytes. An object column of Python ints takes the
-    same steps; numpy has no divmod for it, hence // and %.
+
+def _digits(column: np.ndarray, cells: np.ndarray) -> None:
+    """Write the decimal digits of a non-negative integer column into cells.
+
+    cells is a (len(column), groups) uint32 view, groups at least
+    _groups(column.max()); the digits end right-aligned in it, with leading
+    zeros as NUL bytes. An object column of Python ints takes the same steps.
     """
-    width = len(str(column.max()))
-    groups = -(-width // 4)
-    cells = np.empty((len(column), groups), np.uint32)
     rest = column
-    for group in reversed(range(groups)):
-        if rest.dtype == object:
-            rest, low = rest // _GROUP, rest % _GROUP
-        else:
-            rest, low = np.divmod(rest, _GROUP)
-        table = _LOWEST if group == groups - 1 else _UPPER
-        cells[:, group] = table[low.astype(np.intp, copy=False) + _GROUP * (rest > 0)]
-    return cells.view(np.uint8)[:, 4 * groups - width :]
+    for group in reversed(range(cells.shape[1])):
+        high = rest // _GROUP
+        index = rest - high * _GROUP
+        index += _GROUP
+        np.minimum(index, rest, out=index)
+        table = _LOWEST if group == cells.shape[1] - 1 else _UPPER
+        cells[:, group] = table[index.astype(np.intp, copy=False)]
+        rest = high
 
 
 def _column(chunk: Sequence[int]) -> np.ndarray:
@@ -85,35 +90,42 @@ def _column(chunk: Sequence[int]) -> np.ndarray:
         return np.array(chunk, dtype=object)
 
 
+def _cells(text: str) -> np.ndarray:
+    """text as whole uint32 cells, padded in front with NUL bytes."""
+    data = text.encode("ascii")
+    return np.frombuffer(data.rjust(-(-len(data) // 4) * 4, b"\0"), np.uint32)
+
+
 def _rows(values: Sequence[int], head: str, middle: str, tail: str, sep: str) -> Iterator[str]:
     """Yield head + n + middle + value + tail for n = 1..len(values), joined by sep.
 
-    Each chunk of CHUNK rows is one uint8 matrix with one row per n: sep + head,
-    middle and tail are broadcast into their columns, and the digits of n and
-    of its value fill theirs. Its text is the matrix's bytes with every NUL
-    deleted, so the leading zeros go and so does the sep of the first row.
-    The chunks concatenate to the joined rows.
+    Each chunk of CHUNK rows is one uint32 matrix with one row per n, turned
+    so that it reads tail + sep + head, n, middle, value: the text between
+    two rows is one constant. The constants sit in whole cells, written once
+    while the chunks keep their row count and their groups of n and of the
+    value, and the digits of n and of its value fill their cells. A chunk's
+    text is the matrix's bytes with every NUL deleted; the first chunk drops
+    its leading tail + sep, and the last tail follows the last chunk.
     """
-    front, middle_b, tail_b = (
-        np.frombuffer(text.encode("ascii"), np.uint8) for text in (sep + head, middle, tail)
-    )
+    between, middle_cells = _cells(tail + sep + head), _cells(middle)
+    layout = None
     for start in range(0, len(values), CHUNK):
         stop = min(start + CHUNK, len(values))
-        pieces = (
-            front,
-            _digits(np.arange(start + 1, stop + 1)),
-            middle_b,
-            _digits(_column(values[start:stop])),
-            tail_b,
-        )
-        matrix = np.empty((stop - start, sum(piece.shape[-1] for piece in pieces)), np.uint8)
-        column = 0
-        for piece in pieces:
-            matrix[:, column : column + piece.shape[-1]] = piece
-            column += piece.shape[-1]
-        if start == 0:
-            matrix[0, : len(sep)] = 0
-        yield matrix.tobytes().translate(None, b"\0").decode("ascii")
+        column = _column(values[start:stop])
+        key = (stop - start, _groups(stop), _groups(column.max()))
+        if key != layout:
+            layout = key
+            n_end = len(between) + key[1]
+            value_start = n_end + len(middle_cells)
+            matrix = np.empty((key[0], value_start + key[2]), np.uint32)
+            matrix[:, : len(between)] = between
+            matrix[:, n_end:value_start] = middle_cells
+        _digits(np.arange(start + 1, stop + 1), matrix[:, len(between) : n_end])
+        _digits(column, matrix[:, value_start:])
+        text = matrix.tobytes().translate(None, b"\0")
+        yield (text[len(tail) + len(sep) :] if start == 0 else text).decode("ascii")
+    if len(values):
+        yield tail
 
 
 def _refuse_negative(values: Sequence[int]) -> None:

@@ -136,7 +136,7 @@ def parse_kinds(text: str) -> RecordKind:
         try:
             kinds |= ALL_KINDS if token == "ALL" else RecordKind[token]
         except KeyError:
-            raise ValueError(f"unknown record kind {token!r}; choose from RHC, RSA, HC, SA")
+            raise ValueError(f"unknown record kind {token!r}; choose from RHC, RSA, HC, SA or all")
     if not kinds:
         raise ValueError("no record kinds given")
     return kinds

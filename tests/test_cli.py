@@ -100,8 +100,9 @@ def test_table_refuses_an_empty_range(tmp_path, capsys):
 
 
 # Traced bytes one chunk of table_chunks may hold besides the sieved array:
-# its rows' ints, argument tuple, text and encoded bytes. Measured at 2.3 MB
-# for CHUNK = 16,384, the same at 2*10^5 and 10^6 rows.
+# its uint32 cell matrix, the digit temporaries, the matrix's bytes with and
+# without the NULs, and its text. Measured at 2.2 MB for CHUNK = 16,384, the
+# same at 2*10^5 and 10^6 rows.
 CHUNK_ALLOWANCE = 4_000_000
 
 
@@ -146,7 +147,7 @@ def test_records_sa_kind(capsys):
 def test_records_refuses_an_unknown_kind_on_either_side_of_all(capsys, kinds):
     code, out, err = run(capsys, "records", kinds, "10")
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == "error: unknown record kind 'FOO'; choose from RHC, RSA, HC, SA\n"
+    assert err == "error: unknown record kind 'FOO'; choose from RHC, RSA, HC, SA or all\n"
 
 
 def test_tree_command_writes_file(tmp_path, capsys):

@@ -110,6 +110,39 @@ def test_table_chunk_mixing_int64_and_larger_values(fmt):
     assert format_table("a", np.array(values, dtype=object), fmt) == text
 
 
+# Each chunk is one matrix of cells, kept for the next chunk while the row
+# count and the groups of n and of the value stay the same. These chunk
+# sequences change the value's width, its dtype and the row count between
+# chunks, so a constant or digit cell left over from an earlier chunk shows.
+WIDE = [10**12 + 7 * k for k in range(CHUNK)]  # 13 digits: four groups
+NARROW = [k % 10 for k in range(CHUNK)]  # 1 digit: one group
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        WIDE + NARROW,
+        NARROW + WIDE,
+        NARROW + [2**70 + 1] + WIDE[1:] + NARROW[: CHUNK // 2] + WIDE[: CHUNK // 2],
+        WIDE + [5],
+        NARROW + WIDE + [10**12 - 1],
+    ],
+    ids=[
+        "wide-then-narrow",
+        "narrow-then-wide",
+        "object-between-int64",
+        "one-row-after-one-chunk",
+        "one-row-after-two-chunks",
+    ],
+)
+@pytest.mark.parametrize("fmt", list(ExportFormat))
+def test_table_chunks_do_not_leak_cells_between_chunks(values, fmt):
+    text = format_table("b", values, fmt)
+    assert text == _per_row("b", values, fmt)
+    if all(v < 2**63 for v in values):
+        assert format_table("b", np.array(values, dtype=np.int64), fmt) == text
+
+
 @pytest.mark.parametrize("values", [[1, -5, 3, -7], np.array([1, -5, 3, -7])])
 def test_table_refuses_negative_values(values):
     for fmt in ExportFormat:

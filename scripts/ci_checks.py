@@ -38,6 +38,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from math import isqrt, prod
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,6 +77,11 @@ def exactly(text: str) -> str:
 
 
 EMPTY = exactly("")
+
+
+def odd_primes_to(limit: int) -> list[int]:
+    """The odd primes up to limit, by trial division."""
+    return [p for p in range(3, limit + 1, 2) if all(p % q for q in range(3, isqrt(p) + 1, 2))]
 
 
 def eval_power_of_two(c: int) -> str:
@@ -272,6 +278,15 @@ CHECKS = (
           stdout=r"(?m)^factorization=1287836182261 \* 2575672364521\nd=4 .*\na=6 "),
     Check("eval-mersenne-11213", recdiv("eval", 2**11213 - 1), 20,
           stdout=r"(?m)^d=2 .*\na=2 "),
+    # The int-to-str limit admits n of up to 4,300 digits. Of those,
+    # 2^7039 times the odd primes to 5,101 has the largest Ω·k, which the
+    # per-prime sums cost (see core), and 2^14284 the largest Ω. Each is
+    # evaluated in full, then exits 3 with nothing on stdout because sigma(n)
+    # passes the limit: about 7 s at 76 MB and 4-5 s at 90 MB peak RSS, whole
+    # process on 2 CPUs.
+    Check("eval-worst-omega-k", recdiv("eval", 2**7039 * prod(odd_primes_to(5101))), 30,
+          code=3, stdout=EMPTY, rss_mb=150),
+    Check("eval-2^14284", recdiv("eval", 2**14284), 20, code=3, stdout=EMPTY, rss_mb=150),
     # b(2^k) for every k <= 1,500 in one process, then b_recursion of 2^4000.
     # About 4 s on 2 CPUs. With a coefficient row cached for every Ω asked
     # for, the loop alone peaked at 176 MB RSS; with rows kept only for

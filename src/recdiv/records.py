@@ -70,18 +70,23 @@ record entry comes from profile(n), which factors n again and evaluates it
 by the per-n routes; the search raises AssertionError unless its
 factorization, a, b, d and sigma equal the walk's.
 
-sieve_records, the oracle that tests and `verify records` compare against,
-sieves the requested quantities over 1..bound and scans every n.  A
-conservative float prescan narrows every scan, never its decision.
+Both routes rank by one function, _strict, the exact strict comparison
+above, and flag the kinds and build the entries in one loop, _table; they
+differ only in where their values come from and in how each entry is
+checked.  sieve_records, the oracle that tests and `verify records` compare
+against, sieves the requested quantities over 1..bound and passes _strict
+every n a conservative float prescan keeps; the prescan narrows the scan,
+never its decision.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Flag, auto
 from fractions import Fraction
-from operator import mul
-from typing import Callable, NamedTuple
+from operator import attrgetter, mul
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -211,6 +216,21 @@ class RecordTable:
 _SCAN_BLOCK = 1 << 16
 
 
+def _strict(values: Iterable[tuple[int, int]], ratio: bool) -> list[int]:
+    """The n of (n, value) pairs, ascending, whose value (value/n if ratio) beats every earlier one.
+
+    Exact cross-multiplied integers decide, so a tie never qualifies.
+    """
+    out: list[int] = []
+    best_num, best_den = 0, 1
+    for n, value in values:
+        den = n if ratio else 1
+        if value * best_den > best_num * den:
+            out.append(n)
+            best_num, best_den = value, den
+    return out
+
+
 def _record_indices(arr: np.ndarray, ratio: bool) -> list[int]:
     """n >= 1 where arr[n] (or arr[n]/n when ratio) beats every earlier value."""
     # Conservative prescan: float error is ~1e-15 relative, so no true record
@@ -226,34 +246,38 @@ def _record_indices(arr: np.ndarray, ratio: bool) -> list[int]:
         prev_max = np.concatenate(([best], running[:-1]))
         prescan.extend((np.nonzero(values >= prev_max * (1 - 1e-9))[0] + start).tolist())
         best = float(running[-1])
-    out: list[int] = []
-    best_num, best_den = 0, 1
-    for n in prescan:
-        value, den = int(arr[n]), n if ratio else 1
-        if value * best_den > best_num * den:
-            out.append(n)
-            best_num, best_den = value, den
-    return out
+    return _strict(((n, int(arr[n])) for n in prescan), ratio)
+
+
+def _tau_split(p: DivisorProfile) -> tuple[int, int]:
+    """tau, the largest exponent of p.n, and the cofactor a(n) >> tau."""
+    tau = p.factorization.max_exponent
+    return tau, p.a >> tau
 
 
 def _table(
     bound: int,
     kinds: RecordKind,
-    flags: dict[int, RecordKind],
+    records_of: Callable[[str, bool], list[int]],
     agrees: Callable[[DivisorProfile], None],
 ) -> RecordTable:
-    """The checked table of the flagged n, each entry from profile(n).
+    """The checked table of the record-setters of kinds, each entry from profile(n).
 
-    agrees(p) is the route's own check of profile p against the values it
-    ranked p.n by, and raises AssertionError when they differ.
+    records_of(name, ratio) is a route's record-setters of one quantity, by
+    _strict; the routes differ only in where its values come from.  agrees(p)
+    is the route's own check of profile p against the values it ranked p.n
+    by, and raises AssertionError when they differ.
     """
+    flags: dict[int, RecordKind] = {}
+    for kind in _single(kinds):
+        for n in records_of(*_KINDS[kind]):
+            flags[n] = flags.get(n, RecordKind(0)) | kind
     entries = []
     for n in sorted(flags):
         p = profile(n)
         agrees(p)
-        tau = p.factorization.max_exponent
         entries.append(
-            RecordEntry(n, p.factorization, flags[n], p.a, p.b, p.d, p.sigma, tau, p.a >> tau)
+            RecordEntry(n, p.factorization, flags[n], p.a, p.b, p.d, p.sigma, *_tau_split(p))
         )
     table = RecordTable(bound=bound, kinds=kinds, entries=tuple(entries))
     table.check()
@@ -351,33 +375,22 @@ def search_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
     if not kinds:
         raise ValueError("no record kinds requested")
     cands = candidates(bound)
-    flags: dict[int, RecordKind] = {}
-    found: dict[int, Candidate] = {}
-    for kind in _single(kinds):
-        name, ratio = _KINDS[kind]
-        best_num, best_den = 0, 1
-        for cand in cands:
-            value, n = getattr(cand, name), cand.n
-            den = n if ratio else 1
-            if value * best_den > best_num * den:
-                best_num, best_den = value, den
-                flags[n] = flags.get(n, RecordKind(0)) | kind
-                found[n] = cand
+
+    def records_of(name: str, ratio: bool) -> list[int]:
+        return _strict(((c.n, getattr(c, name)) for c in cands), ratio)
 
     def agrees(p: DivisorProfile) -> None:
-        cand = found[p.n]
+        cand = cands[bisect_left(cands, p.n, key=attrgetter("n"))]
         walked = (cand.factorization, cand.a, cand.b, cand.d, cand.sigma)
         if (p.factorization, p.a, p.b, p.d, p.sigma) != walked:
             raise AssertionError(f"{p.n}: the candidate walk and profile disagree")
 
-    return _table(bound, kinds, flags, agrees)
+    return _table(bound, kinds, records_of, agrees)
 
 
 def tau_decompose(n: int) -> tuple[int, int]:
     """Split a(n) as cofactor * 2**tau, tau being the largest exponent of n."""
-    p = profile(n)  # checks that 2**tau divides a(n)
-    tau = p.factorization.max_exponent
-    return tau, p.a >> tau
+    return _tau_split(profile(n))  # profile checks that 2**tau divides a(n)
 
 
 def sieve_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
@@ -387,16 +400,12 @@ def sieve_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
     """
     if not kinds:
         raise ValueError("no record kinds requested")
-    wanted = _single(kinds)
-    sieve.check_budget(bound, len(wanted))
-
-    flags: dict[int, RecordKind] = {}
+    sieve.check_budget(bound, len(_single(kinds)))
     arrays: dict[str, np.ndarray] = {}
-    for kind in wanted:
-        name, ratio = _KINDS[kind]
+
+    def records_of(name: str, ratio: bool) -> list[int]:
         arrays[name] = arr = sieve.TABLE_BUILDERS[name](bound)
-        for n in _record_indices(arr, ratio):
-            flags[n] = flags.get(n, RecordKind(0)) | kind
+        return _record_indices(arr, ratio)
 
     # Each batch sieve must agree with the per-n profile: the core evaluators
     # for a and b, the factorization formulas for d and sigma.
@@ -405,7 +414,7 @@ def sieve_records(bound: int, kinds: RecordKind = ALL_KINDS) -> RecordTable:
             if getattr(p, name) != int(arr[p.n]):
                 raise AssertionError(f"{name}({p.n}): sieve and profile disagree")
 
-    return _table(bound, kinds, flags, agrees)
+    return _table(bound, kinds, records_of, agrees)
 
 
 def classify(n: int, table: RecordTable) -> RecordKind:

@@ -32,7 +32,7 @@ from typing import Callable
 from xml.etree import ElementTree
 
 from . import closedforms, golden, records, sieve
-from .arith import d_of, factorize, is_prime, sigma_of
+from .arith import _SMALL_PRIMES, d_of, factorize, is_prime, sigma_of
 from .core import a, a_sized, b, g_enumerated
 from .errors import budget_error
 from .tree import SvgStyle, layout, to_svg
@@ -236,7 +236,6 @@ def verify_closedforms(limit: int = 10_000) -> SuiteReport:
             )
 
     distinct = CheckResult("distinct-prime counts match reference and definition")
-    primorial = 1
     for k in range(0, 8):
         value = closedforms.a_distinct_primes(k)
         if k < len(golden.DISTINCT_PRIME_COUNTS):
@@ -244,8 +243,7 @@ def verify_closedforms(limit: int = 10_000) -> SuiteReport:
                 value == golden.DISTINCT_PRIME_COUNTS[k],
                 lambda: f"k={k}: {value} != {golden.DISTINCT_PRIME_COUNTS[k]}",
             )
-        if k > 0:
-            primorial *= GRID_PRIMES[k - 1] if k <= 6 else 17
+        primorial = prod(_SMALL_PRIMES[:k])
         distinct.tally(value == a(primorial), lambda: f"k={k}: {value} != a({primorial})")
 
     # n·B_from_A(n) is b_from_counts(n), so the ratio is checked as exact

@@ -83,6 +83,31 @@ def ordered_factorizations(n: int) -> Iterator[tuple[int, ...]]:
 
 
 @pytest.fixture(scope="session")
+def assert_same_text():
+    """Fail unless two texts are equal, naming the first differing character.
+
+    A failing == between two long texts makes pytest diff them, which takes
+    minutes for an SVG of thousands of lines or a JSON table of half a
+    megabyte on one line.  This reports the offset of the first difference,
+    about 80 characters of each text around it, and the two lengths instead.
+    """
+
+    def check(got, want):
+        if got == want:
+            return
+        first = next(
+            (i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want))
+        )
+        start = max(0, first - 40)
+        pytest.fail(
+            f"texts differ first at character {first}: got {got[start : first + 40]!r}, "
+            f"want {want[start : first + 40]!r}; lengths {len(got)} and {len(want)}"
+        )
+
+    return check
+
+
+@pytest.fixture(scope="session")
 def factorization_tuples():
     """The ordered-factorization listing oracle."""
     return ordered_factorizations

@@ -81,13 +81,17 @@ def test_table_crossing_a_chunk_round_trips(capsys, fmt):
 @pytest.mark.parametrize("length", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize("fmt", list(ExportFormat))
 @pytest.mark.parametrize("fn", ["a", "b", "d", "g", "sigma"])
-def test_table_streams_the_bytes_of_format_table(tmp_path, capsys, fn, fmt, length):
+def test_table_streams_the_bytes_of_format_table(
+    tmp_path, capsys, fn, fmt, length, assert_same_text
+):
     expected = format_table(fn, table_array(fn, length)[1:], fmt)
-    assert run(capsys, "table", fn, str(length), "--format", fmt.value) == (0, expected, "")
+    code, out, err = run(capsys, "table", fn, str(length), "--format", fmt.value)
+    assert (code, err) == (0, "")
+    assert_same_text(out, expected)
     path = tmp_path / "table.out"
     argv = ("table", fn, str(length), "--format", fmt.value, "-o", str(path))
     assert run(capsys, *argv) == (0, "", "")
-    assert path.read_bytes() == expected.encode()
+    assert_same_text(path.read_bytes().decode(), expected)
 
 
 def test_table_refuses_an_empty_range(tmp_path, capsys):
@@ -168,15 +172,17 @@ def test_tree_to_stdout_keeps_the_document_valid(capsys):
 
 
 @pytest.mark.parametrize("n", [1, 96, 4608])
-def test_tree_streams_the_bytes_of_to_svg(tmp_path, capsys, n):
+def test_tree_streams_the_bytes_of_to_svg(tmp_path, capsys, n, assert_same_text):
     tree = layout(n)
     expected = to_svg(tree)
     summary = f"squares={tree.square_count} sidesum={tree.side_sum}\n"
     # A bare tree N puts the SVG alone on stdout and the summary on stderr.
-    assert run(capsys, "tree", str(n)) == (0, expected, summary)
+    code, out, err = run(capsys, "tree", str(n))
+    assert (code, err) == (0, summary)
+    assert_same_text(out, expected)
     path = tmp_path / "tree.svg"
     assert run(capsys, "tree", str(n), "-o", str(path)) == (0, summary, "")
-    assert path.read_bytes() == expected.encode()
+    assert_same_text(path.read_bytes().decode(), expected)
 
 
 def test_tree_of_one_hundred(tmp_path, capsys):

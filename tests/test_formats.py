@@ -29,11 +29,11 @@ def test_table_csv_layout():
     assert text.splitlines()[2] == "2,2"
 
 
-def test_table_bfile_layout():
+def test_table_bfile_layout(assert_same_text):
     text = format_table("a", [1], ExportFormat.BFILE)
-    assert text == "1 1\n"
+    assert_same_text(text, "1 1\n")
     longer = format_table("b", [1, 3, 4], ExportFormat.BFILE)
-    assert longer == "1 1\n2 3\n3 4\n"
+    assert_same_text(longer, "1 1\n2 3\n3 4\n")
 
 
 def test_table_round_trips():
@@ -44,12 +44,12 @@ def test_table_round_trips():
 
 
 @pytest.mark.parametrize("name", ["a", "b", "g", "d", "sigma"])
-def test_table_json_matches_json_dumps(name):
+def test_table_json_matches_json_dumps(name, assert_same_text):
     values = [int(v) for v in table_array(name, 3000)[1:]] + [2**70 + 1]
     rows = [{"n": n, name: v} for n, v in enumerate(values, start=1)]
     oracle = json.dumps(rows, separators=(",", ":")) + "\n"
-    assert format_table(name, values, ExportFormat.JSON) == oracle
-    assert format_table(name, [], ExportFormat.JSON) == "[]\n"
+    assert_same_text(format_table(name, values, ExportFormat.JSON), oracle)
+    assert_same_text(format_table(name, [], ExportFormat.JSON), "[]\n")
 
 
 def _per_row(name, values, fmt):
@@ -70,18 +70,18 @@ def _per_row(name, values, fmt):
     + [9, 10, 99, 100, 10**4, 10**5 + 1],
 )
 @pytest.mark.parametrize("fmt", list(ExportFormat))
-def test_table_chunks_match_per_row_form(length, fmt):
+def test_table_chunks_match_per_row_form(length, fmt, assert_same_text):
     arr = table_array("b", 8 * CHUNK + 1)[1 : length + 1]
     values = arr.tolist()
     text = format_table("b", values, fmt)
-    assert text == _per_row("b", values, fmt)
-    assert format_table("b", arr, fmt) == text
+    assert_same_text(text, _per_row("b", values, fmt))
+    assert_same_text(format_table("b", arr, fmt), text)
 
 
-def test_table_formats_values_beyond_int64():
+def test_table_formats_values_beyond_int64(assert_same_text):
     values = [1, 2**70 + 1, 3]
     for fmt in ExportFormat:
-        assert format_table("g", values, fmt) == _per_row("g", values, fmt)
+        assert_same_text(format_table("g", values, fmt), _per_row("g", values, fmt))
     assert "2,1180591620717411303425\n" in format_table("g", values, ExportFormat.CSV)
 
 
@@ -90,24 +90,24 @@ DIGIT_EDGES = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12, 2**63 - 1]
 
 
 @pytest.mark.parametrize("fmt", list(ExportFormat))
-def test_table_digit_edges(fmt):
+def test_table_digit_edges(fmt, assert_same_text):
     for value in DIGIT_EDGES:
-        assert format_table("g", [value], fmt) == _per_row("g", [value], fmt), value
+        assert_same_text(format_table("g", [value], fmt), _per_row("g", [value], fmt))
     text = format_table("g", DIGIT_EDGES, fmt)
-    assert text == _per_row("g", DIGIT_EDGES, fmt)
-    assert format_table("g", np.array(DIGIT_EDGES, dtype=np.int64), fmt) == text
+    assert_same_text(text, _per_row("g", DIGIT_EDGES, fmt))
+    assert_same_text(format_table("g", np.array(DIGIT_EDGES, dtype=np.int64), fmt), text)
 
 
 @pytest.mark.parametrize("fmt", list(ExportFormat))
-def test_table_chunk_mixing_int64_and_larger_values(fmt):
+def test_table_chunk_mixing_int64_and_larger_values(fmt, assert_same_text):
     # One chunk holds 2**70 + 1, so all of its values are Python ints; the
     # chunks on either side stay int64.
     values = table_array("a", 3 * CHUNK)[1:].tolist()
     values[CHUNK + 7] = 2**70 + 1
     values[CHUNK + 8 : CHUNK + 8 + len(DIGIT_EDGES)] = DIGIT_EDGES
     text = format_table("a", values, fmt)
-    assert text == _per_row("a", values, fmt)
-    assert format_table("a", np.array(values, dtype=object), fmt) == text
+    assert_same_text(text, _per_row("a", values, fmt))
+    assert_same_text(format_table("a", np.array(values, dtype=object), fmt), text)
 
 
 # Each chunk is one matrix of cells, kept for the next chunk while the row
@@ -136,11 +136,11 @@ NARROW = [k % 10 for k in range(CHUNK)]  # 1 digit: one group
     ],
 )
 @pytest.mark.parametrize("fmt", list(ExportFormat))
-def test_table_chunks_do_not_leak_cells_between_chunks(values, fmt):
+def test_table_chunks_do_not_leak_cells_between_chunks(values, fmt, assert_same_text):
     text = format_table("b", values, fmt)
-    assert text == _per_row("b", values, fmt)
+    assert_same_text(text, _per_row("b", values, fmt))
     if all(v < 2**63 for v in values):
-        assert format_table("b", np.array(values, dtype=np.int64), fmt) == text
+        assert_same_text(format_table("b", np.array(values, dtype=np.int64), fmt), text)
 
 
 @pytest.mark.parametrize("values", [[1, -5, 3, -7], np.array([1, -5, 3, -7])])
@@ -151,21 +151,22 @@ def test_table_refuses_negative_values(values):
             next(chunks)
 
 
-def test_table_empty_input_bytes():
-    assert format_table("a", [], ExportFormat.CSV) == "n,a\n"
-    assert format_table("a", [], ExportFormat.JSON) == "[]\n"
-    assert format_table("a", [], ExportFormat.BFILE) == "\n"
+def test_table_empty_input_bytes(assert_same_text):
+    assert_same_text(format_table("a", [], ExportFormat.CSV), "n,a\n")
+    assert_same_text(format_table("a", [], ExportFormat.JSON), "[]\n")
+    assert_same_text(format_table("a", [], ExportFormat.BFILE), "\n")
 
 
-def test_table_json_key_with_percent():
-    assert format_table("5%", [7], ExportFormat.JSON) == _per_row("5%", [7], ExportFormat.JSON)
+def test_table_json_key_with_percent(assert_same_text):
+    want = _per_row("5%", [7], ExportFormat.JSON)
+    assert_same_text(format_table("5%", [7], ExportFormat.JSON), want)
 
 
-def test_bfile_stable_across_runs():
+def test_bfile_stable_across_runs(assert_same_text):
     values = list(range(1, 300))
     first = format_table("g", values, ExportFormat.BFILE)
     second = format_table("g", values, ExportFormat.BFILE)
-    assert first == second
+    assert_same_text(first, second)
 
 
 def test_records_csv():

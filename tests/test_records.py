@@ -171,6 +171,36 @@ def test_blocked_scans_match_exact_scan(fn, ratio):
         assert got == [n for n in want if n <= bound], f"bound={bound}"
 
 
+# (n, value) pairs for the one strict-record rule both routes share, with the
+# n it keeps.  An n left out has value 0, which never sets a record.
+STRICT_CASES = [
+    # Equal counts tie: 5 at n = 2 is not a record after 5 at n = 1.
+    ([(1, 5), (2, 5), (3, 6)], False, [1, 3]),
+    # Equal ratios tie: 6/4 is not a record after 3/2; 8/5 is.
+    ([(2, 3), (4, 6), (5, 8)], True, [2, 5]),
+    # The first positive value qualifies, whatever n it comes at.
+    ([(1, 0), (2, 0), (3, 7)], False, [3]),
+    ([(1, 0), (2, 0), (3, 7)], True, [3]),
+    # float64 rounds both values, and both ratios, to the same double 2**53.
+    ([(1, 2**53), (2, 2**53 + 1)], False, [1, 2]),
+    ([(1, 2**53), (2, 2**54 + 1)], True, [1, 2]),
+]
+
+
+@pytest.mark.parametrize("pairs, ratio, want", STRICT_CASES)
+def test_strict_rule_matches_exact_scan(pairs, ratio, want):
+    arr = [0] * (pairs[-1][0] + 1)
+    for n, value in pairs:
+        arr[n] = value
+    assert _exact_records(arr, ratio) == want
+    assert records._strict(pairs, ratio) == want
+
+
+def test_strict_cases_near_2_53_are_one_double():
+    assert float(2**53 + 1) == float(2**53)
+    assert float(2**54 + 1) / 2 == float(2**53)
+
+
 def test_record_search_memory_stays_near_its_budget():
     # check_budget charges the four int64 tables; the record scans and the
     # sieve kernel's scratch may add only a small fraction on top.

@@ -127,30 +127,6 @@ def per_rect_svg(reference, style):
     return "\n".join(lines) + "\n"
 
 
-def assert_same_svg(got, want):
-    """Fail unless the two documents are equal byte for byte, naming the first differing line.
-
-    A failing == between two documents of thousands of lines makes pytest
-    diff them line by line, which takes minutes from layout(1536) up; this
-    reports the line and the two lengths instead.
-    """
-    if got == want:
-        return
-    got_lines, want_lines = got.splitlines(), want.splitlines()
-    first = next(
-        (i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
-        min(len(got_lines), len(want_lines)),
-    )
-
-    def line(lines):
-        return repr(lines[first]) if first < len(lines) else "no line"
-
-    pytest.fail(
-        f"documents differ first at line {first + 1}: got {line(got_lines)}, "
-        f"want {line(want_lines)}; lengths {len(got)} and {len(want)} characters"
-    )
-
-
 def test_unit_layout():
     tree = layout(1)
     assert tree.square_count == 1
@@ -297,26 +273,26 @@ def test_overlap_pair_counts_of_large_trees(n, pairs):
     [SvgStyle(), SvgStyle(shade_by_depth=False), SvgStyle(stroke_width=2.5, margin=0)],
     ids=["shaded", "plain", "wide-stroke"],
 )
-def test_svg_matches_per_rect_rendering(style):
+def test_svg_matches_per_rect_rendering(style, assert_same_text):
     tree = layout(1536)  # 2^9 * 3: depths up to 10, past the darkest shade at 7
     assert tree.rows[:, 3].max() > 7
-    assert_same_svg(to_svg(tree, style), per_rect_svg(as_reference(tree), style))
+    assert_same_text(to_svg(tree, style), per_rect_svg(as_reference(tree), style))
 
 
-def test_svg_matches_per_rect_rendering_across_chunks():
+def test_svg_matches_per_rect_rendering_across_chunks(assert_same_text):
     tree = layout(4608)  # 38,912 rects: three chunks of svg_chunks
     assert tree.square_count > 2 * CHUNK
-    assert_same_svg(to_svg(tree), per_rect_svg(as_reference(tree), SvgStyle()))
+    assert_same_text(to_svg(tree), per_rect_svg(as_reference(tree), SvgStyle()))
 
 
 @pytest.mark.parametrize("n", [M89, 6 * M89, 12 * M89], ids=["p", "6p", "12p"])
-def test_layout_past_int64_matches_per_square_oracles(n):
+def test_layout_past_int64_matches_per_square_oracles(n, assert_same_text):
     tree = layout(n)
     reference = per_square_layout(n)
     assert tree.rows.dtype == object  # n * a(n) >= 2**63
     assert as_reference(tree) == reference
     for style in (SvgStyle(), SvgStyle(shade_by_depth=False, stroke_width=0.5, margin=0)):
-        assert_same_svg(to_svg(tree, style), per_rect_svg(reference, style))
+        assert_same_text(to_svg(tree, style), per_rect_svg(reference, style))
     assert self_overlap(tree) == brute_force_overlaps(reference)
 
 
@@ -332,7 +308,7 @@ def test_rows_are_int64_exactly_below_the_bound():
     assert layout(11520).rows.dtype == np.int64
 
 
-def test_tree_cli_bytes_past_int64(tmp_path, capsys):
+def test_tree_cli_bytes_past_int64(tmp_path, capsys, assert_same_text):
     n = 6 * M89  # x and y reach 2**92
     reference = per_square_layout(n)
     summary = (
@@ -341,14 +317,14 @@ def test_tree_cli_bytes_past_int64(tmp_path, capsys):
     )
     assert main(["tree", str(n), "--check-overlap"]) == 0
     out, err = capsys.readouterr()
-    assert_same_svg(out, per_rect_svg(reference, SvgStyle()))
+    assert_same_text(out, per_rect_svg(reference, SvgStyle()))
     assert err == summary
     path = tmp_path / "tree.svg"
     style_flags = ["--no-shading", "--stroke-width", "0.5", "--margin", "0"]
     assert main(["tree", str(n), "-o", str(path), *style_flags]) == 0
     assert capsys.readouterr() == (summary.splitlines(keepends=True)[0], "")
     style = SvgStyle(shade_by_depth=False, stroke_width=0.5, margin=0)
-    assert_same_svg(path.read_bytes().decode(), per_rect_svg(reference, style))
+    assert_same_text(path.read_bytes().decode(), per_rect_svg(reference, style))
 
 
 def test_svg_rect_counts():

@@ -222,11 +222,17 @@ CHECKS = (
     Check("eval-rho-budget", recdiv("eval", 9903520314277060855937890627), 10, code=6,
           stdout=EMPTY),
     # The two suites that take a bound past their defaults, checked to the
-    # end. On 2 CPUs, whole process: about 0.7 s and 1.1 s, the ratio check
-    # comparing exact integers against the sieve; 0.7 s and 1.6 s comparing
+    # end. On 2 CPUs, whole process: about 0.5 s and 1.0 s, with each
+    # g-column's total checked once, where it is built; 0.6-0.8 s for lemmas
+    # checking a size table's total for every n; 0.7 s and 1.6 s comparing
     # Fractions, and 1.2 s and 3.8 s with each lattice's g-column rebuilt
     # for every n.
     Check("verify-lemmas-20000", recdiv("verify", "lemmas", 20000), 30,
+          stdout=last("PASS suite lemmas")),
+    # A tenth of verify.LEMMAS_BUDGET: about 2-3 s at 35 MB, with each
+    # g-column's total checked once, where it is built; 3.3 s checking a
+    # size table's total for every n.  The whole budget takes about 25 s.
+    Check("verify-lemmas-150000", recdiv("verify", "lemmas", 150000), 30,
           stdout=last("PASS suite lemmas")),
     Check("verify-closedforms-100000", recdiv("verify", "closedforms", 100000), 60,
           stdout=last("PASS suite closedforms")),
@@ -280,13 +286,14 @@ CHECKS = (
           stdout=r"(?m)^d=2 .*\na=2 "),
     # The int-to-str limit admits n of up to 4,300 digits. Of those,
     # 2^7039 times the odd primes to 5,101 has the largest Ω·k, which the
-    # per-prime sums cost (see core), and 2^14284 the largest Ω. Each is
-    # evaluated in full, then exits 3 with nothing on stdout because sigma(n)
-    # passes the limit: about 7 s at 76 MB and 4-5 s at 90 MB peak RSS, whole
-    # process on 2 CPUs.
+    # per-prime sums cost (see core), and 2^14284 the largest Ω. Each exits 3
+    # with nothing on stdout because sigma(n) passes the limit, which eval
+    # finds from the factorization before it evaluates a, b and g: about
+    # 2.3 s and 0.2 s at 32 MB peak RSS, whole process on 2 CPUs. Evaluating
+    # them first took about 7.5 s at 75 MB and 4 s at 90 MB.
     Check("eval-worst-omega-k", recdiv("eval", 2**7039 * prod(odd_primes_to(5101))), 30,
-          code=3, stdout=EMPTY, rss_mb=150),
-    Check("eval-2^14284", recdiv("eval", 2**14284), 20, code=3, stdout=EMPTY, rss_mb=150),
+          code=3, stdout=EMPTY, rss_mb=60),
+    Check("eval-2^14284", recdiv("eval", 2**14284), 20, code=3, stdout=EMPTY, rss_mb=60),
     # b(2^k) for every k <= 1,500 in one process, then b_recursion of 2^4000.
     # About 4 s on 2 CPUs. With a coefficient row cached for every Ω asked
     # for, the loop alone peaked at 176 MB RSS; with rows kept only for

@@ -16,7 +16,8 @@ import sys
 from typing import Iterable
 
 from . import formats, records, sieve, verify
-from .core import profile
+from .arith import factorize, sigma_of
+from .core import profile_of
 from .errors import BudgetError, MemoryGuardError
 from .tree import DEFAULT_SQUARE_BUDGET, SvgStyle, layout, self_overlap, svg_chunks
 
@@ -61,7 +62,12 @@ def _field(name: str, value: object) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    p = profile(args.n)
+    fac = factorize(args.n)
+    # σ(n) needs only the factorization, so a σ past the int-to-str limit is
+    # refused before κ is evaluated.  The fields printed before σ always fit,
+    # so this is the refusal the full composition below would give.
+    _field("sigma", sigma_of(fac))
+    p = profile_of(fac)
     # Every line is composed before any is written, so a refusal prints nothing.
     lines = (("n",), ("factorization",), ("d", "sigma"), ("a", "b", "g"), ("A", "B"))
     text = "".join(" ".join(_field(k, getattr(p, k)) for k in line) + "\n" for line in lines)

@@ -107,7 +107,8 @@ k · Π (e + 1) steps rather than one term per subset, Π (2e + 1).  At x = 0
 it holds a(d), and a(n/d) at the mirrored index, so the column is the table
 reversed and halved, with g(1) = 1.  J_0 reads no prime, so one column
 serves each ordered exponent tuple (n ≤ 10^4 has 148).
-a_sized checks the column's total against the per-prime sums.
+_g_column checks each column's total against the per-prime sums once, when
+it builds the column, so a_sized and B_from_A read checked columns.
 The definitional recursion, the sub-signature enumeration of a and
 MacMahon's per-divisor sum are kept in the tests as oracles, and g_enumerated
 is a further, independent oracle for g: it walks every chain
@@ -267,9 +268,18 @@ def _g_column(exponents: tuple[int, ...]) -> tuple[int, ...]:
 
     a(d) at x = 0 does not read the primes, so 2 stands in for each; the
     table reversed lists a(n/d), halved for n/d > 1, and g(1) = 1 ends it.
+    The column's total is checked once, here, against a(n) from the
+    per-prime sums, so every reader of the cached column gets a checked one.
     """
-    counts = kappa_table(tuple((2, e) for e in exponents), 0)
-    return tuple(count // 2 for count in reversed(counts[1:])) + (1,)
+    pairs = tuple((2, e) for e in exponents)
+    counts = kappa_table(pairs, 0)
+    column = tuple(count // 2 for count in reversed(counts[1:])) + (1,)
+    # The column sums to a(n) = (1 ∗ g)(n), which the per-prime sums give by a
+    # route that shares nothing with the table.
+    total, want = sum(column), _kappa_of(Factorization._proven(pairs), 0)
+    if total != want:
+        raise AssertionError(f"g-column of exponents {exponents} sums to {total}, expected {want}")
+    return column
 
 
 def kappa(n: int, x: int) -> int:
@@ -352,15 +362,18 @@ class SizedCountTable:
 def a_sized(n: int) -> SizedCountTable:
     """Full size-classified table of recursive divisor counts for n.
 
-    The count of size k is g(n/k), read off n's divisor lattice.
+    The count of size k is g(n/k), read off n's divisor lattice.  The
+    column's total was checked when _g_column built it; here the table must
+    hold one entry per divisor and the root entry of size n.
     """
     fac = factorize(n)
     table = SizedCountTable(n, dict(sorted(zip(*divisor_lattice(fac)))))
+    if len(table.entries) != d_of(fac):
+        raise AssertionError(
+            f"size table of {n} has {len(table.entries)} entries, expected d(n) = {d_of(fac)}"
+        )
     if table.count(n) != 1:
         raise AssertionError(f"size table of {n} lost its root entry")
-    want = _kappa_of(fac, 0)
-    if table.total != want:
-        raise AssertionError(f"size table of {n} sums to {table.total}, expected {want}")
     return table
 
 
@@ -381,7 +394,12 @@ class DivisorProfile:
 
 def profile(n: int) -> DivisorProfile:
     """Compute all divisor quantities of n from one factorization and check them."""
-    fac = factorize(n)
+    return profile_of(factorize(n))
+
+
+def profile_of(fac: Factorization) -> DivisorProfile:
+    """All divisor quantities of n = fac.n from its factorization, checked."""
+    n = fac.n
     dv = d_of(fac)
     sv = sigma_of(fac)
     av = _kappa_of(fac, 0)

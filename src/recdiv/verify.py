@@ -13,7 +13,8 @@ and closedforms suites check the sieve memory guard first and then refuse a
 bound past LEMMAS_BUDGET or CLOSEDFORMS_BUDGET with BudgetError.
 
 A check's failure detail is built only when the case fails: `tally` takes a
-zero-argument callable, so a passing case formats no text.
+zero-argument callable, so a passing case formats no text.  `tally_all`
+counts a batch of cases at once and builds a detail for each failed one.
 
 A route is evaluated once per distinct input it depends on, and every case
 is still tallied on its own: the closedforms suite evaluates the definition
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
-from typing import Callable
+from typing import Callable, Iterable, TypeVar
 from xml.etree import ElementTree
 
 from . import closedforms, golden, records, sieve
@@ -41,10 +42,12 @@ GRID_PRIMES = (2, 3, 5, 7, 11, 13)
 GRID_MAX_EXPONENT = 5
 GRID_MAX_N = 10**9
 
-# Largest bounds verify lemmas and verify closedforms admit, each about a
-# minute of work on 2 CPUs; a larger bound is refused with BudgetError.
+# Largest bounds verify lemmas and verify closedforms admit, each about
+# 25 s of work on 2 CPUs; a larger bound is refused with BudgetError.
 LEMMAS_BUDGET = 1_500_000
 CLOSEDFORMS_BUDGET = 2_500_000
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -65,6 +68,14 @@ class CheckResult:
         self.checked += 1
         if not condition:
             self.failures.append(detail())
+
+    def tally_all(self, count: int, failed: Iterable[T], detail: Callable[[T], str]) -> None:
+        """Add count cases to checked; record detail(case) for each failed case.
+
+        failed may be lazy: it is read in order, once, before tally_all returns.
+        """
+        self.checked += count
+        self.failures.extend(map(detail, failed))
 
     def line(self) -> str:
         if self.passed:
@@ -135,8 +146,8 @@ def verify_lemmas(limit: int = 5000) -> SuiteReport:
         table = a_sized(m)
         size_one.append(table.count(1))
         if m > 1:
-            # a_sized has checked the table's total against a(m) from the
-            # per-prime sums, so m is not factored again for it.
+            # _g_column checked the column's total against a(m) from the
+            # per-prime sums when it built it, so m is not factored again here.
             total = table.total
             halves.tally(
                 2 * size_one[m] == total,
@@ -145,13 +156,13 @@ def verify_lemmas(limit: int = 5000) -> SuiteReport:
             if m <= enum_limit:
                 tuples = g_enumerated(m)
                 doubling.tally(total == 2 * tuples, lambda: f"n={m}: a={total} vs 2*{tuples}")
-        for k, got in table.entries.items():
-            n = m // k
-            want = size_one[n]
-            scaled.tally(
-                got == want == g_values[n],
-                lambda: f"k={k} n={n}: {got} != {want} (sieved g(n) = {g_values[n]})",
-            )
+        entries = table.entries
+        scaled.tally_all(
+            len(entries),
+            [k for k, got in entries.items() if not got == size_one[m // k] == g_values[m // k]],
+            lambda k: f"k={k} n={m // k}: {entries[k]} != {size_one[m // k]} "
+            f"(sieved g(n) = {g_values[m // k]})",
+        )
     doubling.tally(g_enumerated(12) == 8, lambda: "enumeration of 12 must find 8 tuples")
     return SuiteReport("lemmas", [halves, scaled, doubling])
 
@@ -251,12 +262,12 @@ def verify_closedforms(limit: int = 10_000) -> SuiteReport:
     # without a list of them all, which would be about 90 MB at the budget.
     from_counts = CheckResult("ratio from counts matches the sum for all n up to the limit")
     sums = sieve.b_array(limit)
-    for n in range(1, limit + 1):
-        got = closedforms.b_from_counts(n)
-        want = sums.item(n)
-        from_counts.tally(
-            got == want, lambda: f"n={n}: {Fraction(got, n)} != {Fraction(want, n)}"
-        )
+    from_counts.tally_all(
+        limit,
+        (n for n in range(1, limit + 1) if closedforms.b_from_counts(n) != sums.item(n)),
+        lambda n: f"n={n}: {Fraction(closedforms.b_from_counts(n), n)} != "
+        f"{Fraction(sums.item(n), n)}",
+    )
     return SuiteReport(
         "closedforms", [count_routes, sum_routes, ratio_closed, distinct, from_counts]
     )

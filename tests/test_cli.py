@@ -7,7 +7,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from recdiv import a, arith, closedforms, errors, golden, records, verify
+from recdiv import a, arith, cli, closedforms, errors, golden, records, verify
 
 from recdiv.cli import (
     EXIT_BUDGET,
@@ -442,6 +442,27 @@ def test_eval_past_the_int_to_str_limit_prints_nothing(capsys):
     assert out == ""
     assert err == (
         "error: eval cannot print b: it has more than 640 digits, the int-to-str limit; "
+        "sys.set_int_max_str_digits or PYTHONINTMAXSTRDIGITS sets it\n"
+    )
+
+
+def test_eval_refuses_an_unprintable_sigma_before_kappa(monkeypatch, capsys):
+    # n = 2^2126 has 640 digits and sigma = 2^2127 − 1 has 641, so at a
+    # 640-digit limit n parses and prints but sigma does not.  sigma needs
+    # only the factorization, so kappa is never evaluated.
+    n = 2**2126
+    assert (len(str(n)), len(str(2 * n - 1))) == (640, 641)
+    evaluated = []
+    monkeypatch.setattr(cli, "profile_of", evaluated.append)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "eval", str(n))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out, evaluated) == (EXIT_OVERFLOW, "", [])
+    assert err == (
+        "error: eval cannot print sigma: it has more than 640 digits, the int-to-str limit; "
         "sys.set_int_max_str_digits or PYTHONINTMAXSTRDIGITS sets it\n"
     )
 

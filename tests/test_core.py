@@ -21,7 +21,7 @@ from recdiv import (
     profile,
 )
 import recdiv
-from recdiv import cli, closedforms, core, records, tree, verify
+from recdiv import arith, cli, closedforms, core, records, tree, verify
 from recdiv.arith import Factorization, divisors, factorize, is_prime
 from recdiv.golden import A_FIRST_96, B_FIRST_96
 from recdiv.sieve import a_array, b_array
@@ -673,10 +673,73 @@ def test_a_mutant_column_fails_verify_closedforms(monkeypatch, capsys):
 
 
 def test_a_mutant_column_fails_verify_lemmas(monkeypatch, capsys):
+    # The mutant is made after the cache, where _g_column's own check cannot
+    # see it, so the suite's identities must catch it.  Its 11 n <= 100 are
+    # p^2·q with p < q, and it raises the size-3 count of 12 = 2^2·3.
     _mutant_column(monkeypatch, (2, 1))
+    wrong = [n for n in range(1, 101) if tuple(e for _, e in factorize(n).pairs) == (2, 1)]
+    assert len(wrong) == 11 and wrong[0] == 12
+    pairs = sum(len(divisors(m)) for m in range(1, 101))
     code = cli.main(["verify", "lemmas", "100"])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_INTERNAL
-    assert err == (
-        f"error: internal check failed: size table of 12 sums to {a(12) + 1}, expected {a(12)}\n"
+    out = capsys.readouterr().out.splitlines()
+    assert code == cli.EXIT_VERIFY
+    assert len(out) == 4
+    assert out[0].startswith("FAIL size-1 count is half the total count (11 of 99): n=12: ")
+    assert out[1].startswith(
+        "FAIL size-k count of k*n equals size-1 count of n and the sieved g(n) "
+        f"(11 of {pairs}): k=3 n=4: "
     )
+    assert out[2].startswith(
+        "FAIL count equals twice the enumerated ordered factorizations (11 of 100): n=12: "
+    )
+    assert out[3] == "FAIL suite lemmas"
+
+
+def test_a_mutant_count_table_fails_where_the_column_is_built(monkeypatch, capsys):
+    # kappa_table's a(n) for the exponents (2, 1) is one too high, so g(n)
+    # and the column's total are too; _g_column refuses it as it builds it.
+    real = core.kappa_table
+
+    def mutant(pairs, x):
+        values = real(pairs, x)
+        if x == 0 and tuple(e for _, e in pairs) == (2, 1):
+            values[-1] += 2
+        return values
+
+    core._g_column.cache_clear()
+    monkeypatch.setattr(core, "kappa_table", mutant)
+    code = cli.main(["verify", "lemmas", "100"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal check failed: "
+        f"g-column of exponents (2, 1) sums to {a(12) + 1}, expected {a(12)}\n"
+    )
+
+
+@pytest.mark.parametrize("limit", [1, 500, 3000])
+def test_verify_lemmas_factors_each_m_once_and_sums_each_column_once(monkeypatch, limit):
+    # One factorize per m for its size table, one per m <= 2000 for the
+    # g_enumerated oracle (whose last call is the fixed check of 12), and one
+    # per-prime sum per ordered exponent tuple, where its column is built.
+    calls = {"factorize": 0, "_kappa_of": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(core, "factorize")
+    counting(arith, "factorize")
+    counting(core, "_kappa_of")
+    core._g_column.cache_clear()
+    assert verify.verify_lemmas(limit).passed
+    assert calls == {
+        "factorize": limit + min(limit, 2000),
+        "_kappa_of": ordered_exponent_tuples(limit),
+    }

@@ -236,6 +236,10 @@ CHECKS = (
           stdout=last("PASS suite lemmas")),
     Check("verify-closedforms-100000", recdiv("verify", "closedforms", 100000), 60,
           stdout=last("PASS suite closedforms")),
+    # A tenth of verify.CLOSEDFORMS_BUDGET: about 2.3-3 s at 35 MB.  The
+    # whole budget takes 23-26 s.
+    Check("verify-closedforms-250000", recdiv("verify", "closedforms", 250000), 30,
+          stdout=last("PASS suite closedforms")),
     # 103,680 divisors: milliseconds from per-prime sums, seconds for any
     # evaluator that walks the divisors or enumerates sub-signatures.
     Check("eval-smooth", recdiv("eval", 897612484786617600), 10),
@@ -309,18 +313,20 @@ CHECKS = (
     # subset of each divisor's primes, 87 MB with each differenced table
     # kept whole.
     Check("lattice-16-primes", python("-c", LATTICE_16_PRIMES), 4, rss_mb=45),
-    # 219,136 squares and 5.3 M candidate pairs: under a second with the
-    # layout and the overlap scan on numpy rows, about 2.5 s with one Python
-    # object per square, minutes if the scan copies the rest of its order per square.
+    # 219,136 squares and 5.3 M candidate pairs: about 0.4 s at 57 MB with
+    # the layout and the overlap scan on numpy rows (60 MB keeping a block
+    # per direction), about 2.5 s with one Python object per square, minutes
+    # if the scan copies the rest of its order per square.
     Check("tree-11520-overlap", recdiv("tree", 11520, "--check-overlap", "-o", "tree.svg"), 20,
           stdout=exactly("squares=219136 sidesum=942336\noverlaps=13910\n")),
     # scripts/overlap_scan.py reads each layout's rows; nothing else runs it.
     # 57 of the first 2,000 trees overlap themselves and 1,943 do not.
     Check("overlap-scan-2000", python(ROOT / "scripts" / "overlap_scan.py", 1, 2000), 60,
           stdout=last("57 of 2000 trees overlap themselves in [1, 2000]")),
-    # 936,704 squares, near the default square budget: about 1.5 s and 150 MB
-    # peak RSS with the layout on numpy rows, 10 s and 216 MB with one Python
-    # object per square.
+    # 936,704 squares, near the default square budget: about 1.0-1.3 s and
+    # 144 MB peak RSS with each side's block built once and turned once on
+    # numpy rows, 152 MB keeping a block per direction, 10 s and 216 MB with
+    # one Python object per square.
     Check("tree-70560-overlap", recdiv("tree", 70560, "--check-overlap", "-o", "tree70560.svg"),
           60, stdout=exactly("squares=936704 sidesum=7170000\noverlaps=97428\n"), rss_mb=200),
     # 32,749 candidate integers: about 1.4 s whole process on 2 CPUs with

@@ -287,7 +287,7 @@ def kappa(n: int, x: int) -> int:
 
     Evaluated from per-prime sums over one factorization of n.
     """
-    if x < 0:
+    if not isinstance(x, int) or x < 0:
         raise ValueError(f"x must be a nonnegative integer, got {bound_text(x)}")
     return _kappa_of(factorize(n), x)
 

@@ -7,22 +7,26 @@ own arm for its proper divisors, rotated 90 degrees counter-clockwise from
 the arm it sits on.  Sides and attachment points are integers, so all
 geometry below is exact.
 
-Attachment convention per direction: the new square's corner opposite to
-the travel direction lands on the predecessor's corner pointing along it
-(for NE travel, new SW corner on old NE corner, and so on rotated).
-
 A layout is one ``rows`` array with one ``(side, x, y, depth)`` row per
 square, in preorder: a square, then the subtree of each square on its arm,
 largest first.  The root seeds NE and each level turns once
 counter-clockwise, so the arm a square seeds points
 ``("NE", "NW", "SW", "SE")[depth % 4]``; no direction is stored.
 
-A block is the subtree of side m seeded in direction k, placed relative to
-its own root.  Its rows depend only on (m, k), so ``layout`` builds each
-block once: the root row, then the blocks of the arm's squares
-concatenated, each shifted by its square's attachment point and one level
-of depth.  A tree costs O(distinct (side, direction) pairs) numpy calls,
-whatever its square count.
+A block is the subtree of side m placed relative to its own root square
+[0, m] x [0, m].  One attachment rule is spelled out, for an arm pointing
+NE: each square's lower-left corner lands on its predecessor's upper-right,
+so arm square i has its lower-left corner at (c, c), c being m plus the
+sides before it.  The block seeded one direction further round is the same
+block turned a quarter counter-clockwise about its root square's centre,
+which takes (x, y) to (m - y, x) and so a row (side, x, y, depth) to
+(side, m - y - side, x, depth), in the same order.  Every square on an NE
+arm seeds NW, so an NE block hangs only turned blocks, and the tree is the
+NE block of n.  ``layout`` builds each side's NE block once, as one
+concatenation of the root row and its arm's turned blocks, each shifted by
+its square's corner and one level of depth.  It turns each one below n
+once, into a column-wise copy, and keeps only those.  A tree costs d(n)
+concatenations and O(d(n)) numpy calls in all, whatever its square count.
 
 Rows are int64 when n * a(n) < 2**63, and otherwise an ``object`` array of
 Python ints on the same code path.  The bound covers every value computed
@@ -31,7 +35,9 @@ projections of a tree (or of a block) form one interval no longer than the
 sum of its sides, b(n) <= n * a(n), and that interval holds the root's
 [0, side].  So |x|, |x + side|, |y| and |y + side| are at most b(n), and so
 is every block coordinate and offset summed while building, each being a
-coordinate of some block.  The side column sums to b(n) itself.
+coordinate of some block.  A turned x, m - y - side, and the intermediate
+m - y, its x + side, are coordinates of the NW-seeded block of side m.  The
+side column sums to b(n) itself.
 """
 
 from __future__ import annotations
@@ -78,47 +84,39 @@ class DivisorTreeLayout:
         return int(self.rows[:, 0].sum())
 
 
-def _attach(k: int, px: int, py: int, pside: int, side: int) -> tuple[int, int]:
-    """Lower-left corner of a square of this side after (px, py, pside) on an arm in direction k."""
-    if k == 0:  # NE
-        return px + pside, py + pside
-    if k == 1:  # NW
-        return px - side, py + pside
-    if k == 2:  # SW
-        return px - side, py - side
-    return px + pside, py - side  # SE
-
-
 def _block(
     m: int,
-    k: int,
+    turned: bool,
     zero_row: np.ndarray,
     arms: dict[int, list[int]],
-    blocks: dict[tuple[int, int], np.ndarray],
+    blocks: dict[int, np.ndarray],
 ) -> np.ndarray:
-    """Rows of the subtree of side m seeded in direction k, relative to its root.
+    """Rows of the subtree of side m relative to its root, seeded NE, or NW if turned.
 
-    zero_row fixes the dtype; arms maps each side to its arm, and blocks holds
-    the blocks built so far in this layout.
+    zero_row fixes the dtype and arms maps each side to its arm.  blocks holds
+    the turned blocks built so far in this layout; an NE block is only read
+    to turn it, or as the tree itself, so none is kept.
     """
-    rows = blocks.get((m, k))
-    if rows is not None:
+    if turned:
+        rows = blocks.get(m)
+        if rows is None:
+            # The quarter turn (side, x, y, depth) -> (side, m - y - side, x, depth).
+            ne = _block(m, False, zero_row, arms, blocks)
+            rows = blocks[m] = ne[:, [0, 2, 1, 3]]
+            rows[:, 1] = m - ne[:, 2] - ne[:, 0]
         return rows
-    arm = arms[m]
     # The root row is the zero row shifted by (m, 0, 0, 0); each arm square's
-    # block is shifted by (0, x, y, 1), its attachment point one level down.
+    # turned block is shifted by (0, c, c, 1), its corner one level down.
     parts, lengths, offsets = [zero_row], [1], [m, 0, 0, 0]
-    px, py, pside = 0, 0, m
-    for side in arm:
-        px, py = _attach(k, px, py, pside, side)
-        pside = side
-        part = _block(side, (k + 1) % 4, zero_row, arms, blocks)
+    corner = m
+    for side in arms[m]:
+        part = _block(side, True, zero_row, arms, blocks)
         parts.append(part)
         lengths.append(len(part))
-        offsets += (0, px, py, 1)
+        offsets += (0, corner, corner, 1)
+        corner += side
     rows = np.concatenate(parts)
     rows += np.array(offsets, zero_row.dtype).reshape(-1, 4).repeat(lengths, axis=0)
-    blocks[m, k] = rows
     return rows
 
 
@@ -127,8 +125,8 @@ def layout(n: int, *, budget: int = DEFAULT_SQUARE_BUDGET) -> DivisorTreeLayout:
 
     n is factored once.  Every side divides n, so the sides are n's d(n)
     divisors, and the arm of side m (its proper divisors, largest first) is
-    the divisors of n below m that divide it.  Each (side, direction) block
-    is built once.
+    the divisors of n below m that divide it.  Each side's NE block, and its
+    quarter turn below n, is built once.
     """
     fac = factorize(n)
     count = _kappa_of(fac, 0)
@@ -140,7 +138,7 @@ def layout(n: int, *, budget: int = DEFAULT_SQUARE_BUDGET) -> DivisorTreeLayout:
     dtype = np.int64 if n * count < 2**63 else object
     sides = divisors_of(fac)
     arms = {m: [d for d in sides[:i][::-1] if m % d == 0] for i, m in enumerate(sides)}
-    rows = _block(n, 0, np.zeros((1, 4), dtype), arms, {})
+    rows = _block(n, False, np.zeros((1, 4), dtype), arms, {})
     rows.flags.writeable = False
     x, y, side = rows[:, 1], rows[:, 2], rows[:, 0]
     box = (int(x.min()), int(y.min()), int((x + side).max()), int((y + side).max()))

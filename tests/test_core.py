@@ -42,6 +42,10 @@ def test_kappa_rejects_bad_arguments():
         kappa(0, 0)
     with pytest.raises(ValueError):
         kappa(10, -1)
+    # A fraction or a float must not reach the per-prime sums: 0.5 gave -8.0, 1.0 gave 42.0.
+    for x in (0.5, 1.0):
+        with pytest.raises(ValueError, match=rf"^x must be a nonnegative integer, got {x}$"):
+            kappa(12, x)
 
 
 HUGE = 10**5000  # 16,610 bits, past the 4,300 digits str converts by default

@@ -231,6 +231,29 @@ def test_layout_factors_n_once(monkeypatch, n):
     assert as_reference(tree) == per_square_layout(n)
 
 
+@pytest.mark.parametrize("ns", [range(1, 1001), [1536], [4608]], ids=["1-1000", "1536", "4608"])
+def test_layout_matches_per_square_oracle(ns):
+    # 1536 and 4608 reach depths past 7, so every seeding direction recurs;
+    # 4608 spans three SVG chunks.
+    for n in ns:
+        assert as_reference(layout(n)) == per_square_layout(n), n
+
+
+@pytest.mark.parametrize("n", [12, 720, 11520, 27720])
+def test_layout_concatenates_once_per_side(monkeypatch, n):
+    # Each side's NE block is one concatenation; its quarter turn is a copy.
+    calls = []
+    real = np.concatenate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counting)
+    layout(n)
+    assert len(calls) == d(n)
+
+
 def test_overlap_scan_is_linear_in_disjoint_squares():
     # A scan that copied the rest of its x-sorted order for every square
     # would move about 1.25e9 list entries here.
